@@ -638,9 +638,14 @@ def serve_main(argv: list[str]) -> int:
     if codegen is not None:
         codegen.enabled = not ns.no_codegen
         codegen.flush()
-    print(f"p4runpro control service listening on {ns.host}:{ns.port}")
+    def ready(server) -> None:
+        print(
+            f"p4runpro control service listening on {ns.host}:{server.port}",
+            flush=True,
+        )
+
     try:
-        asyncio.run(serve(ns.host, ns.port, service))
+        asyncio.run(serve(ns.host, ns.port, service, on_ready=ready))
     except KeyboardInterrupt:
         print("drained; bye")
     finally:

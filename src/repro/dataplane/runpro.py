@@ -86,13 +86,12 @@ class P4runproDataPlane:
         fc.enabled = flow_cache
         self.flow_cache = fc
         self.switch.flow_cache = fc
-        for table in self.tables.values():
-            table.on_mutation.append(fc.invalidate)
         #: trace-to-source codegen tier (between flow cache and the
-        #: interpreter); the cache wires its own table hooks lazily as it
-        #: compiles.  write_bucket / reset_memory / multicast changes need
-        #: no codegen invalidation: generated code reads register arrays
-        #: and the TM's multicast-group dict live on every packet.
+        #: interpreter).  Both tiers track the table versions they read
+        #: (repro.rmt.dependency), so table mutations need no hook here;
+        #: write_bucket / reset_memory / multicast changes need no codegen
+        #: invalidation: generated code reads register arrays and the
+        #: TM's multicast-group dict live on every packet.
         self.codegen = self.switch.codegen
 
     def add_event_hook(self, hook) -> None:
@@ -153,7 +152,15 @@ class P4runproDataPlane:
             )
 
         if self.include_recirc_block:
-            recirc_table = MatchActionTable(dp.RECIRC_TABLE, RECIRC_TABLE_CAPACITY)
+            # Indexed like the RPBs (every recirculation entry keys the full
+            # program id), so a deploy stales only its own program's
+            # dependents of this table, not every flow that missed in it.
+            recirc_table = MatchActionTable(
+                dp.RECIRC_TABLE,
+                RECIRC_TABLE_CAPACITY,
+                index_field="ud.program_id",
+                index_mask=dp.PROGRAM_ID_MASK,
+            )
             self.tables[dp.RECIRC_TABLE] = recirc_table
             recirc_stage = self.switch.ingress.stages[spec.num_ingress_rpbs + 1]
             recirc_stage.attach_unit(
@@ -216,11 +223,13 @@ class P4runproDataPlane:
         self._emit("delete_entry", table=table, handle=handle)
 
     def reset_memory(self, phys_rpb: int, base: int, size: int) -> None:
+        # No cache invalidation: no cached trace depends on a register
+        # value.  Pure traces never touch one, stateful traces replay
+        # their SALU ops live, and a trace steered by a register dies at
+        # its first STATEFUL consult whatever the value, so its negative
+        # entry (routing the flow to codegen or the interpreter, which
+        # read registers live) is the same before and after the reset.
         self._array(phys_rpb).reset_range(base, size)
-        # Cached traces replay SALU ops live, but a trace recorded as
-        # *uncacheable* because of a register-dependent branch may become
-        # cacheable (or vice versa) after a bulk reset — flush to be safe.
-        self.flow_cache.invalidate()
         self._emit("reset_memory", phys_rpb=phys_rpb, base=base, size=size)
 
     # -- raw control-plane memory APIs ---------------------------------------
@@ -228,8 +237,8 @@ class P4runproDataPlane:
         return self._array(phys_rpb).read(addr)
 
     def write_bucket(self, phys_rpb: int, addr: int, value: int) -> None:
+        # Like reset_memory: register contents stale no cached trace.
         self._array(phys_rpb).write(addr, value)
-        self.flow_cache.invalidate()
 
     def read_entry_counter(self, table: str, handle: int) -> int:
         """Direct-counter readback for one installed entry."""
@@ -238,8 +247,9 @@ class P4runproDataPlane:
     def configure_multicast_group(self, group: int, ports: list[int]) -> None:
         """Program the traffic manager's replication table (PRE)."""
         self.switch.tm.configure_multicast_group(group, ports)
-        # Pure-trace templates bake in the replicated egress port list.
-        self.flow_cache.invalidate()
+        # Pure-trace templates bake in the replicated egress port list:
+        # the one global flush left.
+        self.flow_cache.flush()
 
     # -- traffic ---------------------------------------------------------------
     def process(

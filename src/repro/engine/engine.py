@@ -755,6 +755,13 @@ class ShardedEngine:
             raise WorkerError("; ".join(errors))
 
     # -- placement ----------------------------------------------------------
+    @property
+    def pinned_programs(self) -> dict[int, int]:
+        """Program id -> owning shard, for pinned programs only (the
+        data-parallel ones map to ``None`` in :attr:`placement` and have
+        nothing to migrate)."""
+        return {p: shard for p, shard in self.placement.items() if shard is not None}
+
     def _note_program(self, program_id: int) -> None:
         if program_id in self.placement:
             return
@@ -768,9 +775,8 @@ class ShardedEngine:
             self.placement[program_id] = None
             return
         loads = {w: 0 for w in self.worker_ids}
-        for shard in self.placement.values():
-            if shard is not None:
-                loads[shard] += 1
+        for shard in self.pinned_programs.values():
+            loads[shard] += 1
         self.placement[program_id] = min(
             self.worker_ids, key=lambda w: (loads[w], w)
         )
@@ -1241,10 +1247,9 @@ class ShardedEngine:
                     "complete it first"
                 )
         self.barrier()
-        for program_id in [
-            p for p, shard in self.placement.items() if shard == wid
-        ]:
-            self.migrate(program_id)
+        for program_id, shard in self.pinned_programs.items():
+            if shard == wid:
+                self.migrate(program_id)
         self.sync()
         refs = tuple((packed[1], handle) for handle, packed in self._entries.items())
         hits, final_stats = self._request(wid, ("harvest", refs))
@@ -1290,9 +1295,8 @@ class ShardedEngine:
                 raise MigrationError("no other worker to migrate to")
             telemetry = self._telemetry
             pinned_count = {w: 0 for w in self.worker_ids}
-            for shard in self.placement.values():
-                if shard is not None:
-                    pinned_count[shard] += 1
+            for shard in self.pinned_programs.values():
+                pinned_count[shard] += 1
             target = min(
                 candidates,
                 key=lambda w: (
@@ -1455,15 +1459,14 @@ class ShardedEngine:
         report["triggered"] = True
         fair = total / self.num_workers
         telemetry = self._telemetry
+        pinned = self.pinned_programs
         program_load = {
             program_id: telemetry["programs"].get(program_id, 0)
-            for program_id, shard in self.placement.items()
-            if shard is not None
+            for program_id in pinned
         }
         pinned_load = {w: 0 for w in self.worker_ids}
-        for program_id, shard in self.placement.items():
-            if shard is not None:
-                pinned_load[shard] += program_load.get(program_id, 0)
+        for program_id, shard in pinned.items():
+            pinned_load[shard] += program_load[program_id]
         hash_load = {
             w: telemetry["hash"].get(w, 0) for w in self.worker_ids
         }
@@ -1471,7 +1474,7 @@ class ShardedEngine:
         # exceeds the fair share (hash traffic can be steered away
         # entirely, pinned traffic cannot).  Greedy hottest→coldest,
         # bounded, only while each move strictly improves the max.
-        for _ in range(4 * len(self.placement) + 4):
+        for _ in range(4 * len(pinned) + 4):
             hot = max(self.worker_ids, key=lambda w: pinned_load[w])
             if pinned_load[hot] <= fair:
                 break
@@ -1479,7 +1482,7 @@ class ShardedEngine:
             movable = sorted(
                 (
                     p
-                    for p, shard in self.placement.items()
+                    for p, shard in self.pinned_programs.items()
                     if shard == hot and program_load.get(p, 0) > 0
                 ),
                 key=lambda p: -program_load[p],
@@ -1682,27 +1685,25 @@ class ShardedEngine:
             for key, value in shard.items():
                 if key == "flow_cache":
                     # Nested per-worker cache stats: sum the counters and
-                    # the occupancy, drop per-worker bookkeeping
-                    # (enabled/generation) from the aggregate.
+                    # the occupancy, drop per-worker bookkeeping (enabled)
+                    # from the aggregate.
                     for ckey, cvalue in value.items():
                         if ckey == "occupancy":
                             for okey, ovalue in cvalue.items():
                                 flow_cache[okey] = flow_cache.get(okey, 0) + ovalue
                         elif isinstance(cvalue, int) and not isinstance(cvalue, bool):
-                            if ckey != "generation":
-                                flow_cache[ckey] = flow_cache.get(ckey, 0) + cvalue
+                            flow_cache[ckey] = flow_cache.get(ckey, 0) + cvalue
                 elif key == "codegen":
                     # Same shape discipline for the per-worker codegen
                     # caches: sum counters, merge the fallback-reason map,
-                    # drop enabled/generation bookkeeping.
+                    # drop the enabled flag.
                     for ckey, cvalue in value.items():
                         if ckey == "fallbacks":
                             merged = codegen.setdefault("fallbacks", {})
                             for reason, count in cvalue.items():
                                 merged[reason] = merged.get(reason, 0) + count
                         elif isinstance(cvalue, int) and not isinstance(cvalue, bool):
-                            if ckey != "generation":
-                                codegen[ckey] = codegen.get(ckey, 0) + cvalue
+                            codegen[ckey] = codegen.get(ckey, 0) + cvalue
                 else:
                     totals[key] = totals.get(key, 0) + value
         if flow_cache:

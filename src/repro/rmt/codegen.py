@@ -38,12 +38,20 @@ cache must refuse to cache it.  ``execute_action`` /
 ``lookup_reference_entry`` remain the oracle; the hypothesis churn suite
 in tests/property/test_codegen_equivalence.py pins the contract.
 
-Invalidation rides the same ``MatchActionTable.on_mutation`` hooks the
-flow cache uses: the cache self-wires a generation bump onto every table
-it compiles against, and each dispatch additionally pins the compiled
-PHV layout and both pipelines' compiled unit programs by identity, so a
-mid-batch ``add_case``/``remove_case``/``write_mem`` can never execute a
-stale function.  Register-array *contents* need no invalidation — the
+Invalidation is scoped by the dependency model of
+:mod:`repro.rmt.dependency`.  While emitting, every candidate pool the
+generator reads records its versions: an RPB (or recirculation) apply
+pre-narrowed to one program's bucket depends on that bucket and the
+table's unindexed pool only, so a deploy, revoke or ``add_case`` for
+another program leaves the function alone.  The init chain depends on
+the shadow of each filter entry it tests, up to its terminal entry — the
+first one that matches every packet of the composition — and on nothing
+after it; a filter entry appended behind the terminal can never win for
+this composition, which is what keeps churn from recompiling functions.
+Each dispatch additionally pins the compiled PHV layout and both
+pipelines' compiled unit programs by identity, so a mid-batch
+``add_case``/``remove_case``/``write_mem`` can never execute a stale
+function.  Register-array *contents* need no invalidation — the
 generated code reads and writes the live arrays.
 
 Fallback taxonomy (reasons reported via :meth:`CodegenCache.stats`):
@@ -77,6 +85,7 @@ from __future__ import annotations
 import sys
 
 from . import flowcache
+from .dependency import EPOCH, Dependent
 from .table import MatchActionTable, _entry_order
 
 _M32 = 0xFFFFFFFF
@@ -115,11 +124,12 @@ class _Unsupported(Exception):
         self.reason = reason
 
 
-class _Entry:
+class _Entry(Dependent):
     """One cache slot: a compiled function (or a negative record) plus the
-    identity stamps that make staleness detectable at dispatch time."""
+    table versions and identity stamps that make staleness detectable at
+    dispatch time."""
 
-    __slots__ = ("fn", "reason", "gen", "cl", "ing", "eg", "source", "coalesce")
+    __slots__ = ("fn", "reason", "cl", "ing", "eg", "source", "coalesce")
 
 
 class CodegenCache:
@@ -131,23 +141,10 @@ class CodegenCache:
         #: composition tuple -> _Entry (negative entries included, so an
         #: unsupported composition is not re-analyzed per packet)
         self.cache: dict[tuple, _Entry] = {}
-        #: bumped by every structural table mutation (self-wired below)
-        self.generation = 0
         self.compiled = 0
         self.hits = 0
         self.invalidations = 0
         self.fallbacks: dict[str, int] = {}
-        #: id(table) -> table (strong refs: an id alone could be reused by
-        #: a new table after GC, silently skipping the hook wiring)
-        self._watched: dict[int, MatchActionTable] = {}
-
-    # -- invalidation ------------------------------------------------------
-    def _bump(self) -> None:
-        self.generation += 1
-
-    def invalidate(self) -> None:
-        """Force all generated functions stale (lazy rejection)."""
-        self.generation += 1
 
     def flush(self) -> None:
         self._flush_counters()
@@ -176,11 +173,6 @@ class CodegenCache:
                 for obj, attr, k in targets:
                     setattr(obj, attr, getattr(obj, attr) + k * n)
 
-    def _watch(self, table: MatchActionTable) -> None:
-        if id(table) not in self._watched:
-            self._watched[id(table)] = table
-            table.on_mutation.append(self._bump)
-
     # -- introspection -----------------------------------------------------
     def stats(self) -> dict:
         return {
@@ -192,7 +184,6 @@ class CodegenCache:
             "hits": self.hits,
             "invalidations": self.invalidations,
             "fallbacks": dict(self.fallbacks),
-            "generation": self.generation,
         }
 
     # -- dispatch ----------------------------------------------------------
@@ -208,17 +199,18 @@ class CodegenCache:
         if tracing is not None and tracing._ACTIVE is not None:
             return self._fallback("tracing")
         if not switch.parse_machine.frozen:
-            # Provisioning still mutates the parser; freezing does not bump
-            # any generation counter, so this must not be negative-cached.
+            # Provisioning still mutates the parser; freezing bumps no
+            # table version, so this must not be negative-cached.
             return self._fallback("parser-unfrozen")
         key = tuple(packet.headers)
         ent = self.cache.get(key)
+        epoch = EPOCH.n
         if (
             ent is None
-            or ent.gen != self.generation
             or ent.cl is not switch.layout.compiled()
             or ent.ing is not switch.ingress._compiled
             or ent.eg is not switch.egress._compiled
+            or (ent.epoch != epoch and not ent.revalidate(epoch))
         ):
             ent = self._compile(switch, key, ent)
         if ent.fn is None:
@@ -244,13 +236,13 @@ class CodegenCache:
             self._flush_counters()
             self.cache.clear()
         ent = _Entry()
-        ent.gen = self.generation
+        ent.epoch = EPOCH.n
         ent.cl = switch.layout.compiled()
         ent.ing = switch.ingress.compiled_units()
         ent.eg = switch.egress.compiled_units()
         ent.coalesce = ()
+        emitter = _Emitter(self, switch, key, ent.cl)
         try:
-            emitter = _Emitter(self, switch, key, ent.cl)
             source, namespace = emitter.emit()
             code = compile(source, f"<codegen:{'/'.join(key) or 'bare'}>", "exec")
             exec(code, namespace)
@@ -260,9 +252,12 @@ class CodegenCache:
             ent.coalesce = tuple(emitter.coalesce)
             self.compiled += 1
         except _Unsupported as exc:
+            # versions read before the refusal cover what refused: the
+            # offending entry's pool (or filter entry) was recorded first
             ent.fn = None
             ent.reason = exc.reason
             ent.source = None
+        ent.versions = tuple(emitter.versions.items())
         self.cache[key] = ent
         return ent
 
@@ -297,6 +292,9 @@ class _Emitter:
         self.RECIRC_PORT = RECIRC_PORT
 
         tm = switch.tm
+        #: version -> value seen, for every candidate pool read (the
+        #: function's dependencies, see the module docstring)
+        self.versions: dict = {}
         self.ns: dict = {
             "_T": cl.template,
             "_R": SwitchResult,
@@ -405,8 +403,10 @@ class _Emitter:
         lines = ["def _parse(s, hs):"]
         self.loadable: set[str] = set()
         bm_mask = cl.masks[self.s_bm]
+        leaves: list[tuple[int, tuple]] = []
 
         def leaf(bitmap: int, loaded: tuple, ind: str) -> None:
+            leaves.append((bitmap & bm_mask, loaded))
             sig = (bitmap, loaded)
             name = self._vh_leaves.get(sig)
             if name is None:
@@ -475,6 +475,17 @@ class _Emitter:
 
         walk(machine.start, 0, (), frozenset(), "    ")
         self.chunks.append("\n".join(lines))
+        #: parse facts, true right after ``_parse`` whichever leaf it took:
+        #: the bitmap values it can leave, and the presence tests on
+        #: headers every leaf loads (a loaded field is not None unless
+        #: the packet itself carries a None value)
+        self.leaf_bitmaps = {bitmap for bitmap, _loaded in leaves}
+        always = set.intersection(*(set(loaded) for _bitmap, loaded in leaves))
+        self.always_present = {
+            f"s[{index}] is not None"
+            for header in always
+            for _fname, index in cl.header_slots[header]
+        }
         #: hdr slots that can never be populated for this composition
         self.never = {
             index
@@ -544,11 +555,14 @@ class _Emitter:
         self.chunks.append("\n".join(lines))
 
     # -- match folding -----------------------------------------------------
-    def _fold_keys(self, entry, working: dict):
+    def _fold_keys(self, entry, working: dict, after_parse: bool = False):
         """Fold one entry's compiled key triples against static facts.
 
         Returns ``_DEAD`` if the entry can never match here, else the list
-        of runtime condition strings (empty = always matches)."""
+        of runtime condition strings (empty = always matches).  With
+        ``after_parse`` (the init chain, which runs before any action can
+        write the bitmap) a parse-bitmap key folds when every parse leaf
+        agrees on it."""
         conds: list[str] = []
         cl = self.cl
         for fname, value, mask in entry.compiled_keys:
@@ -561,6 +575,12 @@ class _Emitter:
                 if (working[slot] & mask) != value:
                     return _DEAD
                 continue
+            if after_parse and slot == self.s_bm:
+                hits = {(bitmap & mask) == value for bitmap in self.leaf_bitmaps}
+                if hits == {False}:
+                    return _DEAD
+                if hits == {True}:
+                    continue
             if self.is_hdr_slot(slot):
                 if mask == 0:
                     conds.append(f"s[{slot}] is not None")
@@ -583,15 +603,18 @@ class _Emitter:
 
     def _candidates(self, table: MatchActionTable, working: dict) -> list:
         """The (priority, handle)-ordered candidate list, pre-narrowed to
-        the index bucket when the index slot's value is a static fact."""
-        self.cache._watch(table)
+        the index bucket when the index slot's value is a static fact.
+        Records the versions of the pool read."""
+        key = "*"
         if table._index_field is not None:
             slot = self.slot_of.get(table._index_field)
             if slot is not None and slot in working:
                 key = working[slot] & table._index_mask
-                bucket = [e for e in table._index.get(key, ()) if e.live]
-                unindexed = [e for e in table._unindexed if e.live]
-                return sorted(bucket + unindexed, key=_entry_order)
+        self.versions.update(table.pool_versions(key))
+        if key != "*":
+            bucket = [e for e in table._index.get(key, ()) if e.live]
+            unindexed = [e for e in table._unindexed if e.live]
+            return sorted(bucket + unindexed, key=_entry_order)
         return sorted(table._entries.values(), key=_entry_order)
 
     # -- actions -----------------------------------------------------------
@@ -1134,7 +1157,6 @@ class _Emitter:
 
         table = self.init_table
         tvar = self.bind(table, "t")
-        self.cache._watch(table)
         if self.s_pid is None or self.s_bid is None:
             raise _Unsupported("init-shape")
         pid_mask = cl.masks[self.s_pid]
@@ -1149,16 +1171,37 @@ class _Emitter:
             stmts.append(f"return {body}(switch, packet, hs, s, vh)")
             return stmts
 
+        # The chain depends on the shadow of every entry it tests (a
+        # delete, or an insert ordering ahead of it, changes the chain)
+        # and ends at the first entry that matches every packet of the
+        # composition: later entries can never win here.  An entry whose
+        # only runtime tests are presence tests on always-parsed headers
+        # ends it too; the packets it misses (a None header value) leave
+        # for the interpreter before any side effect, so the function
+        # still depends on nothing behind it.  Without such an entry the
+        # fall-through depends on every future insert.
         branches = []
-        for entry in self._candidates(table, working):
-            conds = self._fold_keys(entry, working)
+        bail = False
+        for entry in sorted(table._entries.values(), key=_entry_order):
+            reads = table.versions_read("*", entry)
+            try:
+                conds = self._fold_keys(entry, working, after_parse=True)
+            except _Unsupported:
+                self.versions.update(reads)  # the refusal depends on it
+                raise
             if conds is _DEAD:
-                continue
+                continue  # never matches here: its fate changes nothing
+            self.versions.update(reads)
             if entry.action != self.dp.ACTION_SET_PROGRAM:
                 raise _Unsupported("init-action")
             branches.append((conds, entry))
             if not conds:
                 break
+            if self.always_present.issuperset(conds):
+                bail = True
+                break
+        else:
+            self.versions.update(table.versions_read("*", None))
         terminal = bool(branches) and not branches[-1][0]
         for i, (conds, entry) in enumerate(branches):
             evar = self.bind(entry, "e")
@@ -1177,7 +1220,9 @@ class _Emitter:
             lines.append(f"    {kw} {' and '.join(conds)}:")
             for stmt in stmts:
                 lines.append("        " + stmt)
-        if not terminal:
+        if bail:
+            lines.append("    return None")
+        elif not terminal:
             default = table.default_action
             if default is not None and default != self.dp.ACTION_SET_PROGRAM:
                 raise _Unsupported("init-action")

@@ -36,16 +36,27 @@ consult of a stateful field kills the trace.  Any packet matching the
 accumulated conditions therefore takes the identical branch path and
 matches the identical table entries, making op-sequence replay exact.
 
-Invalidation is generation-based: every southbound mutation (table
-insert/delete via :class:`MatchActionTable.on_mutation` hooks,
-control-plane register writes, multicast-group programming) bumps
-``FlowCache.generation``; entries are stamped at install and lazily
-flushed on the next hit attempt.
+Invalidation is scoped by the dependency model of
+:mod:`repro.rmt.dependency`: every recorded table lookup reports the
+versions it read (:meth:`MatchActionTable.versions_read` — its program's
+index bucket for an RPB, the matched filter entry for the init table),
+and an entry stays valid while none of them moved.  A deploy, revoke or
+``add_case`` for program *p* therefore stales only flows whose trace
+looked up *p*'s buckets, or whose init match an entry now shadows.
+Register writes (``write_bucket``, ``reset_memory``) stale nothing, and
+the taint rules above are why: a pure trace never touches a register, a
+stateful trace replays its SALU ops live, and a trace steered by a
+register value dies at its first ``STATEFUL`` consult whatever the
+value, leaving a negative entry that routes the flow to the codegen tier
+or the interpreter, both of which read registers live.  Multicast-group
+programming is the one global flush (:meth:`FlowCache.flush`): pure
+templates bake in the replicated port list.
 """
 
 from __future__ import annotations
 
 from . import fields as field_registry
+from .dependency import EPOCH, Dependent
 from .packet import Packet
 
 #: Sentinel dependency: the field's value came out of a register array —
@@ -143,23 +154,25 @@ class _Template:
     )
 
 
-class _EmcEntry:
-    __slots__ = ("trace", "template", "generation")
+class _EmcEntry(Dependent):
+    __slots__ = ("trace", "template")
 
-    def __init__(self, trace, template, generation):
+    def __init__(self, trace, template, epoch, versions):
         self.trace = trace
         self.template = template
-        self.generation = generation
+        self.epoch = epoch
+        self.versions = versions
 
 
-class _MegaflowEntry:
+class _MegaflowEntry(Dependent):
     """``trace is None`` marks a negative (uncacheable-flow) entry."""
 
-    __slots__ = ("trace", "generation")
+    __slots__ = ("trace",)
 
-    def __init__(self, trace, generation):
+    def __init__(self, trace, epoch, versions):
         self.trace = trace
-        self.generation = generation
+        self.epoch = epoch
+        self.versions = versions
 
 
 _TM_ATTR = {
@@ -191,6 +204,7 @@ class Recorder:
         "absent",
         "written",
         "passes",
+        "versions",
         "_cur",
         "_egress",
         "_carried_deps",
@@ -216,6 +230,8 @@ class Recorder:
         self.absent: set[str] = set()
         self.written: set[str] = set()
         self.passes: list[_PassRecord] = []
+        #: version -> value seen, over every table lookup of the pass
+        self.versions: dict = {}
         self._cur: _PassRecord | None = None
         self._egress = False
         self._carried_deps: dict | None = None
@@ -334,11 +350,12 @@ class Recorder:
         cur = self._cur
         (cur.egress_ops if self._egress else cur.ingress_ops).append((op, stage))
 
-    def note_lookup(self, table, entry) -> None:
+    def note_lookup(self, table, entry, versions) -> None:
         cur = self._cur
         (cur.egress_lookups if self._egress else cur.ingress_lookups).append(
             (table, entry)
         )
+        self.versions.update(versions)
 
 
 def _emc_key(packet: Packet):
@@ -404,9 +421,6 @@ class FlowCache:
         self.enabled = True
         self.emc_capacity = emc_capacity
         self.megaflow_capacity = megaflow_capacity
-        #: bumped by every southbound mutation; entries are stamped at
-        #: install and lazily dropped when their stamp is stale
-        self.generation = 0
         self.emc: dict = {}
         #: mask signature -> {masked key -> _MegaflowEntry}
         self.subtables: dict = {}
@@ -420,11 +434,6 @@ class FlowCache:
         #: deferred hit count, applied to table/entry counters at batch end
         self._batching = False
         self._pending_templates: dict = {}
-
-    # -- control-plane side ----------------------------------------------
-    def invalidate(self) -> None:
-        """Southbound mutation: everything recorded so far is stale."""
-        self.generation += 1
 
     # -- batch counter coalescing -----------------------------------------
     def begin_batch(self) -> None:
@@ -450,6 +459,8 @@ class FlowCache:
             pending.clear()
 
     def flush(self) -> None:
+        """Drop every entry (multicast reconfiguration, knob changes)."""
+        self.invalidations += len(self.emc) + self._megaflow_count
         self.emc.clear()
         self.subtables.clear()
         self._megaflow_count = 0
@@ -467,23 +478,22 @@ class FlowCache:
                 "megaflow": self._megaflow_count,
                 "subtables": len(self.subtables),
             },
-            "generation": self.generation,
         }
 
     # -- data-plane side --------------------------------------------------
     def process(self, switch, packet: Packet):
-        generation = self.generation
+        epoch = EPOCH.n
         key = _emc_key(packet)
         hit = self.emc.get(key)
         if hit is not None:
-            if hit.generation == generation:
+            if hit.epoch == epoch or hit.revalidate(epoch):
                 self.emc_hits += 1
                 if hit.template is not None:
                     return self._replay_template(switch, packet, hit.template)
                 return self._replay(switch, packet, hit.trace)
             del self.emc[key]
             self.invalidations += 1
-        entry = self._megaflow_lookup(packet, generation)
+        entry = self._megaflow_lookup(packet, epoch)
         if entry is not None:
             if entry.trace is None:
                 # Negative entry: the flow's control flow is register-value
@@ -494,7 +504,7 @@ class FlowCache:
                 return switch._process_miss(packet)
             self.megaflow_hits += 1
             result = self._replay(switch, packet, entry.trace)
-            self._install_emc(key, entry.trace, result, generation)
+            self._install_emc(key, entry.trace, result, epoch, entry.versions)
             return result
         return self._record(switch, packet, key)
 
@@ -508,17 +518,18 @@ class FlowCache:
             result = switch._process_packet(packet, None, rec)
         finally:
             _RECORDER = None
-        generation = self.generation
+        epoch = EPOCH.n
+        versions = tuple(rec.versions.items())
         if rec.dead:
             if rec.cond_masks or rec.presence or rec.absent:
-                self._install_megaflow(rec, None, generation)
+                self._install_megaflow(rec, None, epoch, versions)
             return result
         trace = FlowTrace(tuple(rec.passes), rec.stateful, frozenset(rec.written))
-        self._install_megaflow(rec, trace, generation)
-        self._install_emc(key, trace, result, generation)
+        self._install_megaflow(rec, trace, epoch, versions)
+        self._install_emc(key, trace, result, epoch, versions)
         return result
 
-    def _install_megaflow(self, rec: Recorder, trace, generation) -> None:
+    def _install_megaflow(self, rec: Recorder, trace, epoch, versions) -> None:
         pres_sig = tuple(sorted(rec.presence))
         absent_sig = tuple(sorted(rec.absent))
         mask_sig = tuple(sorted(rec.cond_masks.items()))
@@ -534,7 +545,7 @@ class FlowCache:
             if self._megaflow_count >= self.megaflow_capacity:
                 self._evict_megaflow()
             self._megaflow_count += 1
-        table[key] = _MegaflowEntry(trace, generation)
+        table[key] = _MegaflowEntry(trace, epoch, versions)
 
     def _evict_megaflow(self) -> None:
         for table in self.subtables.values():
@@ -543,17 +554,17 @@ class FlowCache:
                 self._megaflow_count -= 1
                 return
 
-    def _install_emc(self, key, trace: FlowTrace, result, generation) -> None:
+    def _install_emc(self, key, trace: FlowTrace, result, epoch, versions) -> None:
         emc = self.emc
         if key not in emc and len(emc) >= self.emc_capacity:
             emc.pop(next(iter(emc)))
         template = None
         if not trace.stateful and result is not None:
             template = _build_template(trace, result)
-        emc[key] = _EmcEntry(trace, template, generation)
+        emc[key] = _EmcEntry(trace, template, epoch, versions)
 
     # -- matching ---------------------------------------------------------
-    def _megaflow_lookup(self, packet: Packet, generation):
+    def _megaflow_lookup(self, packet: Packet, epoch):
         headers = packet.headers
         for sig, table in self.subtables.items():
             if not table:
@@ -567,7 +578,7 @@ class FlowCache:
             entry = table.get(key)
             if entry is None:
                 continue
-            if entry.generation != generation:
+            if entry.epoch != epoch and not entry.revalidate(epoch):
                 del table[key]
                 self._megaflow_count -= 1
                 self.invalidations += 1

@@ -26,12 +26,36 @@ Two lookup paths exist:
   naive full scan through :class:`TernaryKey.matches` used as the oracle by
   the equivalence property tests.
 
-A ``generation`` counter increments on every structural update (insert,
-delete, clear); all derived compiled state is keyed on it, so a packet in
-flight either sees an entry fully or not at all — never a half-built index.
-Deletes are tombstones (O(1) amortized): the entry is unlinked from the
-handle map immediately and the sorted pools are compacted only once
-tombstones pile up.
+Derived state — the compiled pools below, the flow cache's traces and
+the codegen tier's generated functions — is kept valid by one dependency
+model, built from :class:`Version` counters:
+
+* an indexed table keeps one version per index bucket plus one for its
+  unindexed pool; an insert or delete bumps only the version of the pool
+  the entry lives in, so a dependent that read bucket *b* (and the
+  unindexed pool every bucket merges) survives mutations of bucket *c*;
+* a lookup that could not use the index read every entry and depends on
+  the table-wide version (:attr:`MatchActionTable.generation`);
+* an unindexed table (the init filter table) depends on *what matched*:
+  every entry carries a shadow version, bumped when the entry is deleted
+  and when an insert lands ahead of it in ``(priority, handle)`` order.
+  A new entry takes the largest handle, so it orders ahead only of
+  entries with a larger priority number — a priority-0 append into a
+  priority-0 table bumps nothing.  A lookup that matched entry *M*
+  depends on *M*'s shadow (deleting a loser cannot change the winner; a
+  packet that failed it still fails everything before *M*); a lookup
+  that matched nothing depends on the table's insert counter (a delete
+  cannot make a miss match).
+
+Every structural update also bumps the process-wide epoch that
+:mod:`repro.rmt.dependency` puts in front of the version walk.  Compiled
+pools are table-internal, so they are dropped eagerly instead: a
+mutation of bucket *b* drops *b*'s pool and the all-entries pool, one of
+the unindexed pool drops them all.  A packet
+in flight either sees an entry fully or not at all — never a half-built
+index.  Deletes are tombstones (O(1) amortized): the entry is unlinked
+from the handle map immediately and the sorted pools are compacted only
+once tombstones pile up.
 """
 
 from __future__ import annotations
@@ -41,6 +65,7 @@ from bisect import insort
 from dataclasses import dataclass, field
 
 from . import flowcache
+from .dependency import EPOCH, Version
 from .phv import PHV
 
 
@@ -89,6 +114,9 @@ class TableEntry:
     #: action closure bound by the owning execution unit (e.g. an RPB),
     #: resolved once per deploy rather than per packet
     compiled_op: object = field(default=None, repr=False, compare=False)
+    #: bumped on delete and whenever an insert lands ahead of this entry
+    #: (what a lookup that matched it depends on)
+    shadow: Version = field(default_factory=Version, repr=False, compare=False)
 
     def matches(self, phv: PHV) -> bool:
         return all(key.matches(phv) for key in self.keys)
@@ -122,27 +150,30 @@ class MatchActionTable:
         self._index_mask = index_mask
         self._index: dict[int, list[TableEntry]] = {}
         self._unindexed: list[TableEntry] = []
-        #: structural-update counter: any insert/delete/clear bumps it,
-        #: invalidating every cache derived from the entry set
-        self.generation = 0
+        #: the dependency model (module docstring): one version per index
+        #: bucket, one for the unindexed pool, one table-wide, and an
+        #: insert counter for unindexed lookups that matched nothing
+        self._bucket_versions: dict[int, Version] = {}
+        self._unindexed_version = Version()
+        self._version = Version()
+        self._inserts = Version()
         self._tombstones = 0
         #: compiled candidate pools, keyed by masked index value (or "*"
         #: for lookups that cannot use the index): bucket + unindexed
         #: entries merged in (priority, handle) order, each as a
-        #: ``(slot_triples_or_None, entry)`` pair.  Valid only for
-        #: (_compiled_gen, _compiled_cl); any structural update or layout
-        #: change drops the whole cache.
+        #: ``(slot_triples_or_None, entry)`` pair.  A mutation drops the
+        #: pools that merged the touched pool; a layout change drops all.
         self._compiled_pools: dict = {}
-        self._compiled_gen = -1
         self._compiled_cl = None
         self._index_slot: int | None = None
         #: number of lookups / hits, for utilization reporting
         self.lookups = 0
         self.hits = 0
-        #: zero-arg callbacks invoked after every structural update
-        #: (insert/delete/clear) — the flow cache registers its
-        #: generation bump here so direct table mutations invalidate it
-        self.on_mutation: list = []
+
+    @property
+    def generation(self) -> int:
+        """Table-wide structural-update count (any insert/delete/clear)."""
+        return self._version.n
 
     def _index_value(self, entry: TableEntry) -> int | None:
         if self._index_field is None:
@@ -153,10 +184,9 @@ class MatchActionTable:
         return None
 
     # -- management --------------------------------------------------------
-    def insert(self, entry: TableEntry) -> int:
-        """Atomically install ``entry``; returns its handle."""
-        if len(self._entries) >= self.capacity:
-            raise TableFullError(f"table {self.name} full ({self.capacity} entries)")
+    def _link(self, entry: TableEntry) -> int | None:
+        """Assign a handle, compile the keys, register the entry; returns
+        its index bucket (``None`` for the unindexed pool)."""
         handle = next(self._handle_counter)
         entry.handle = handle
         entry.live = True
@@ -165,8 +195,46 @@ class MatchActionTable:
         )
         entry.compiled_op = None
         self._entries[handle] = entry
-        bucket = self._index_value(entry)
+        return self._index_value(entry)
+
+    def _bucket_version(self, bucket: int) -> Version:
+        version = self._bucket_versions.get(bucket)
+        if version is None:
+            version = self._bucket_versions[bucket] = Version()
+        return version
+
+    def _touched(self, bucket: int | None) -> None:
+        """Bump the version of the pool an entry went into or left
+        (``None``: the unindexed pool), drop the compiled pools that
+        merged it, and bump the table-wide version and the epoch."""
+        pools = self._compiled_pools
         if bucket is None:
+            self._unindexed_version.n += 1
+            pools.clear()  # every bucket's pool merges the unindexed one
+        else:
+            self._bucket_version(bucket).n += 1
+            pools.pop(bucket, None)
+            pools.pop("*", None)
+        self._version.n += 1
+        EPOCH.n += 1
+
+    def _shadow_after(self, priority: int) -> None:
+        """An unindexed insert at ``priority`` (with a handle larger than
+        every installed one) orders ahead of exactly the entries with a
+        larger priority number — a suffix of the sorted pool.  Bump their
+        shadows: a lookup that matched one of them may now lose."""
+        for entry in reversed(self._unindexed):
+            if entry.priority <= priority:
+                break
+            entry.shadow.n += 1
+
+    def insert(self, entry: TableEntry) -> int:
+        """Atomically install ``entry``; returns its handle."""
+        if len(self._entries) >= self.capacity:
+            raise TableFullError(f"table {self.name} full ({self.capacity} entries)")
+        bucket = self._link(entry)
+        if bucket is None:
+            self._shadow_after(entry.priority)
             insort(self._unindexed, entry, key=_entry_order)
         else:
             pool = self._index.get(bucket)
@@ -174,10 +242,9 @@ class MatchActionTable:
                 self._index[bucket] = [entry]
             else:
                 insort(pool, entry, key=_entry_order)
-        self.generation += 1
-        for hook in self.on_mutation:
-            hook()
-        return handle
+        self._inserts.n += 1
+        self._touched(bucket)
+        return entry.handle
 
     def insert_many(self, entries: list["TableEntry"]) -> list[int]:
         """Install a group of entries in one structural update.
@@ -185,40 +252,36 @@ class MatchActionTable:
         Equivalent to calling :meth:`insert` per entry (handles are
         assigned in order and the resulting pool order is identical —
         ``_entry_order`` is total, so one stable sort after appending
-        matches repeated ``insort``), but the sorted pools are rebuilt
-        once and the mutation hooks fire once for the whole group.  The
+        matches repeated ``insort``), but each touched pool is re-sorted
+        once and its version bumped once for the whole group.  The
         capacity check happens up front, so a full table rejects the
         group before any entry lands.
         """
         if len(self._entries) + len(entries) > self.capacity:
             raise TableFullError(f"table {self.name} full ({self.capacity} entries)")
-        handles: list[int] = []
-        touched: list[list[TableEntry]] = []
+        buckets: dict[int, list[TableEntry]] = {}
+        unindexed: list[TableEntry] = []
         for entry in entries:
-            handle = next(self._handle_counter)
-            entry.handle = handle
-            entry.live = True
-            entry.compiled_keys = tuple(
-                (key.field, key.value & key.mask, key.mask) for key in entry.keys
-            )
-            entry.compiled_op = None
-            self._entries[handle] = entry
-            bucket = self._index_value(entry)
+            bucket = self._link(entry)
             if bucket is None:
-                pool = self._unindexed
+                unindexed.append(entry)
             else:
                 pool = self._index.get(bucket)
                 if pool is None:
                     pool = self._index[bucket] = []
-            pool.append(entry)
-            touched.append(pool)
-            handles.append(handle)
-        for pool in {id(p): p for p in touched}.values():
+                pool.append(entry)
+                buckets[bucket] = pool
+        for pool in buckets.values():
             pool.sort(key=_entry_order)
-        self.generation += 1
-        for hook in self.on_mutation:
-            hook()
-        return handles
+        for bucket in buckets:
+            self._touched(bucket)
+        if unindexed:
+            self._shadow_after(min(entry.priority for entry in unindexed))
+            self._unindexed.extend(unindexed)
+            self._unindexed.sort(key=_entry_order)
+            self._touched(None)
+        self._inserts.n += 1
+        return [entry.handle for entry in entries]
 
     def delete(self, handle: int) -> None:
         """Atomically remove the entry with ``handle`` (O(1) amortized)."""
@@ -226,15 +289,15 @@ class MatchActionTable:
         if entry is None:
             raise EntryNotFoundError(f"table {self.name}: no entry {handle}")
         entry.live = False
+        entry.shadow.n += 1
         self._tombstones += 1
-        self.generation += 1
-        for hook in self.on_mutation:
-            hook()
+        self._touched(self._index_value(entry))
         if self._tombstones > max(16, len(self._entries)):
             self._sweep()
 
     def _sweep(self) -> None:
-        """Compact tombstones out of the sorted pools."""
+        """Compact tombstones out of the sorted pools (the live entry set,
+        and so every version, is unchanged)."""
         self._unindexed = [e for e in self._unindexed if e.live]
         for bucket in list(self._index):
             pool = [e for e in self._index[bucket] if e.live]
@@ -252,13 +315,14 @@ class MatchActionTable:
     def clear(self) -> None:
         for entry in self._entries.values():
             entry.live = False
+            entry.shadow.n += 1
         self._entries.clear()
         self._index.clear()
         self._unindexed.clear()
         self._tombstones = 0
-        self.generation += 1
-        for hook in self.on_mutation:
-            hook()
+        for version in self._bucket_versions.values():
+            version.n += 1
+        self._touched(None)
 
     @property
     def occupancy(self) -> int:
@@ -296,7 +360,7 @@ class MatchActionTable:
             return self._lookup_entry_recorded(rec, phv)
         self.lookups += 1
         cl = phv.cl
-        if self._compiled_gen != self.generation or self._compiled_cl is not cl:
+        if self._compiled_cl is not cl:
             self._recompile(cl)
         if self._index_field is not None:
             index_slot = self._index_slot
@@ -344,7 +408,7 @@ class MatchActionTable:
         a *megaflow* cache rather than an exact-match one)."""
         self.lookups += 1
         cl = phv.cl
-        if self._compiled_gen != self.generation or self._compiled_cl is not cl:
+        if self._compiled_cl is not cl:
             self._recompile(cl)
         if self._index_field is not None:
             if phv.has(self._index_field):
@@ -372,15 +436,38 @@ class MatchActionTable:
             if matched:
                 self.hits += 1
                 entry.hits += 1
-                rec.note_lookup(self, entry)
+                rec.note_lookup(self, entry, self.versions_read(key, entry))
                 return entry
-        rec.note_lookup(self, None)
+        rec.note_lookup(self, None, self.versions_read(key, None))
         return None
 
+    def versions_read(self, key, winner: TableEntry | None) -> tuple:
+        """The ``(version, n)`` pairs a lookup depends on that scanned the
+        pool for ``key`` (a masked index value, or ``"*"``) and stopped at
+        ``winner`` (``None``: ran off the end) — the rules of the module
+        docstring.  For an unindexed table that is the winner's shadow,
+        which also serves a chain that tests ``winner``: it moves when
+        ``winner`` goes or an insert lands ahead of it."""
+        if self._index_field is None:
+            version = self._inserts if winner is None else winner.shadow
+            return ((version, version.n),)
+        if key == "*":
+            return ((self._version, self._version.n),)
+        return self.pool_versions(key)
+
+    def pool_versions(self, key) -> tuple:
+        """Versions of everything a scan of bucket ``key``'s merged pool
+        reads: the bucket itself plus the unindexed pool (``"*"`` or an
+        unindexed table: every entry)."""
+        if key == "*" or self._index_field is None:
+            return ((self._version, self._version.n),)
+        bucket = self._bucket_version(key)
+        unindexed = self._unindexed_version
+        return ((bucket, bucket.n), (unindexed, unindexed.n))
+
     def _recompile(self, cl) -> None:
-        """Reset compiled lookup state for the current (generation, layout)."""
+        """Reset compiled lookup state for a new PHV layout."""
         self._compiled_pools = {}
-        self._compiled_gen = self.generation
         self._compiled_cl = cl
         self._index_slot = (
             cl.slot_of.get(self._index_field) if self._index_field is not None else None

@@ -392,10 +392,22 @@ class ControlService:
     def _audit(
         self, request: Request, outcome: str, result: dict, queue_ms: float, admitted: float
     ) -> None:
+        params = request.params
+        if request.method == "inject":
+            # Audited but never replayed: keep the batch size and verdict
+            # totals, not the packet list, so the journal's memory stays
+            # flat however much traffic runs through the service.  The
+            # list leaves the request here, so a large batch is freed
+            # inside this request rather than delaying the connection's
+            # next one.
+            packets = params.pop("packets", None)
+            params = {"packets": result.get(
+                "processed", len(packets) if isinstance(packets, list) else 0)}
+            result = {"verdicts": result["verdicts"]} if "verdicts" in result else {}
         self.audit.append(
             request.tenant,
             request.method,
-            request.params,
+            params,
             outcome,
             result,
             queue_ms=queue_ms,
@@ -1708,10 +1720,17 @@ async def serve(
     host: str = "127.0.0.1",
     port: int = 9400,
     service: ControlService | None = None,
+    on_ready=None,
 ) -> None:
-    """Run a control service until cancelled (the ``p4runpro serve`` entry)."""
+    """Run a control service until cancelled (the ``p4runpro serve`` entry).
+
+    ``on_ready(server)`` runs once the socket is bound, so whatever it
+    announces (``server.port`` included, for ``port=0``) is connectable.
+    """
     server = ServiceServer(service, host, port)
     await server.start()
+    if on_ready is not None:
+        on_ready(server)
     try:
         await server.serve_forever()
     except asyncio.CancelledError:  # graceful drain on cancellation

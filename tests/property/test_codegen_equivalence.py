@@ -11,8 +11,9 @@ per-table lookup/hit counters must match bit for bit.  Generated code is
 only allowed to make forwarding *faster*, never *different* — including
 for stateful programs whose SALU ops re-execute on every packet, for
 register-branching programs the megaflow cache refuses, and across
-mid-stream invalidation (every mutation bumps the generation counters,
-so a stale function must never run).
+mid-stream invalidation (a stale function must never run: each one
+depends on the table versions it read, and a ``steal`` op installs a
+filter entry that orders ahead of the entries a cached chain tested).
 
 Three configurations are proven:
 
@@ -24,14 +25,16 @@ Three configurations are proven:
   identical engine with codegen disabled.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.controlplane import Controller
+from repro.dataplane import constants as dp
 from repro.dataplane.runpro import P4runproDataPlane
 from repro.lang.errors import P4runproError
 from repro.programs import PROGRAMS
 from repro.rmt.packet import make_cache, make_l2, make_tcp, make_udp
+from repro.rmt.table import TableEntry, TernaryKey
 
 #: deployable mix: stateless forwarding, stateful aggregation, a
 #: recirculating program, and a register-branching one (uncacheable for
@@ -45,10 +48,42 @@ ops_strategy = st.lists(
         st.tuples(st.just("add_case"), st.integers(0, 0xFFFF)),
         st.tuples(st.just("write_mem"), st.integers(0, 31)),
         st.tuples(st.just("traffic"), st.integers(0, 2**16)),
+        st.tuples(st.just("steal"), st.integers(0, 255)),
     ),
     min_size=3,
     max_size=14,
 )
+
+
+def steal(dataplanes, stolen, arg, live):
+    """Install a filter entry straight into each init table with a
+    priority number below every deployed entry's, so it orders ahead of
+    (and takes over) the flows from one source address, or (odd ``arg``)
+    delete the oldest such entry; ``stolen`` keeps the handles.  Bit 1
+    of ``arg`` steers the stolen flows to no program or to one live
+    program (the same one on each side).
+    """
+    tables = [d.tables[dp.INIT_TABLE] for d in dataplanes]
+    if arg % 2:
+        if stolen:
+            for table, handle in zip(tables, stolen.pop(0)):
+                table.delete(handle)
+        return
+    key = (TernaryKey("hdr.ipv4.src", 0x0A000000 + arg // 4 % 5, 0xFFFFFFFF),)
+    pids = [0, 0]
+    if arg & 2 and live:
+        pids = [h.program_id for h in live[arg // 20 % len(live)][1:]]
+    stolen.append(tuple(
+        table.insert(TableEntry(key, dp.ACTION_SET_PROGRAM,
+                                {"program_id": pid}, priority=-1))
+        for table, pid in zip(tables, pids)
+    ))
+
+
+#: a flow cached under l2fwd's filter, then taken over by a stealing one
+STEAL_EXAMPLE = [("deploy", "l2fwd"), ("traffic", 0), ("steal", 0), ("traffic", 0)]
+#: flows cached under cache's bucket, then one of them served by a new case
+ADD_CASE_EXAMPLE = [("deploy", "cache"), ("traffic", 0), ("add_case", 1), ("traffic", 0)]
 
 
 def _burst(seed: int):
@@ -75,8 +110,14 @@ def _churn(ops, subject_ctl, process_subject, reference_ctl, process_reference):
     ``process_*`` take a packet list and return the per-packet results.
     """
     live = []  # (name, subject handle, reference handle)
+    stolen = []
     for op, arg in ops:
-        if op == "deploy":
+        if op == "steal":
+            # only on in-process data planes (an engine owns its tables)
+            planes = [ctl.updater.binding for ctl in (subject_ctl, reference_ctl)]
+            if all(isinstance(p, P4runproDataPlane) for p in planes):
+                steal(planes, stolen, arg, live)
+        elif op == "deploy":
             try:
                 a = subject_ctl.deploy(PROGRAMS[arg].source)
             except P4runproError:
@@ -154,6 +195,8 @@ def _assert_final_state(subject, reference):
 
 @settings(max_examples=20, deadline=None)
 @given(ops=ops_strategy)
+@example(ops=STEAL_EXAMPLE)
+@example(ops=ADD_CASE_EXAMPLE)
 def test_codegen_forwarding_is_observationally_identical(ops):
     """Codegen tier alone (flow cache off) vs the bare interpreter."""
     subject = P4runproDataPlane(flow_cache=False)
@@ -172,6 +215,8 @@ def test_codegen_forwarding_is_observationally_identical(ops):
 
 @settings(max_examples=15, deadline=None)
 @given(ops=ops_strategy)
+@example(ops=STEAL_EXAMPLE)
+@example(ops=ADD_CASE_EXAMPLE)
 def test_three_tier_stack_is_observationally_identical(ops):
     """The full stack — EMC/megaflow cache over codegen over interpreter
     — vs the bare interpreter.  Register-branching programs (firewall)

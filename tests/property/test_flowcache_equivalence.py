@@ -10,10 +10,11 @@ at the end the register arrays, traffic-manager counters, and per-table
 lookup/hit counters must match bit for bit.  The cache is only allowed
 to make forwarding *faster*, never *different* — including for stateful
 programs whose SALU ops must re-execute live on every hit, and across
-mid-stream invalidation.
+mid-stream invalidation, including a ``steal`` op that installs a filter
+entry ordering ahead of the entry cached flows matched.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.controlplane import Controller
@@ -21,6 +22,7 @@ from repro.dataplane.runpro import P4runproDataPlane
 from repro.lang.errors import P4runproError
 from repro.programs import PROGRAMS
 from repro.rmt.packet import make_cache, make_l2, make_tcp, make_udp
+from tests.property.test_codegen_equivalence import ADD_CASE_EXAMPLE, STEAL_EXAMPLE, steal
 
 #: deployable mix: stateless forwarding, stateful aggregation, a
 #: recirculating program, and an uncacheable register-branching one
@@ -33,6 +35,7 @@ ops_strategy = st.lists(
         st.tuples(st.just("add_case"), st.integers(0, 0xFFFF)),
         st.tuples(st.just("write_mem"), st.integers(0, 31)),
         st.tuples(st.just("traffic"), st.integers(0, 2**16)),
+        st.tuples(st.just("steal"), st.integers(0, 255)),
     ),
     min_size=3,
     max_size=14,
@@ -61,6 +64,8 @@ def _outcomes(dataplane, seed: int):
 
 @settings(max_examples=20, deadline=None)
 @given(ops=ops_strategy)
+@example(ops=STEAL_EXAMPLE)
+@example(ops=ADD_CASE_EXAMPLE)
 def test_cached_forwarding_is_observationally_identical(ops):
     cached_ctl, cached = Controller.with_simulator()
     # Codegen off on BOTH sides: this suite isolates cache-vs-interpreter
@@ -73,8 +78,11 @@ def test_cached_forwarding_is_observationally_identical(ops):
     assert not reference.flow_cache.enabled
 
     live = []  # (name, cached handle, reference handle)
+    stolen = []
     for op, arg in ops:
-        if op == "deploy":
+        if op == "steal":
+            steal([cached, reference], stolen, arg, live)
+        elif op == "deploy":
             try:
                 a = cached_ctl.deploy(PROGRAMS[arg].source)
             except P4runproError:

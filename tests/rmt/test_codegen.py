@@ -1,4 +1,4 @@
-"""Codegen tier unit tests: dispatch, generation invalidation (including
+"""Codegen tier unit tests: dispatch, scoped invalidation (including
 mid-batch races), live register visibility, miss routing from the flow
 cache, counter coalescing, and stats plumbing."""
 
@@ -87,12 +87,17 @@ class TestDispatch:
 
 
 class TestInvalidation:
-    def test_deploy_bumps_generation(self):
+    def test_deploy_keeps_other_programs_functions(self):
+        """A deploy touches its own RPB buckets and appends a filter entry
+        behind l2fwd's catch-all: the l2 function stays valid."""
         ctl, dataplane = deployed(PROGRAMS["l2fwd"].source)
         dataplane.process(make_l2(dst=0x1))
-        generation = dataplane.codegen.generation
+        compiled = dataplane.codegen.stats()["compiled"]
         ctl.deploy(PROGRAMS["dqacc"].source)
-        assert dataplane.codegen.generation > generation
+        assert dataplane.process(make_l2(dst=0x1)).egress_port == 1
+        stats = dataplane.codegen.stats()
+        assert stats["compiled"] == compiled
+        assert stats["invalidations"] == 0
 
     def test_revoke_flushes_stale_function(self):
         ctl, dataplane = deployed(PROGRAMS["l2fwd"].source)
@@ -165,11 +170,13 @@ class TestInvalidation:
         ctl, dataplane = deployed(PROGRAMS["cache"].source)
         handle = ctl.running_programs()[0].program_id
         dataplane.process(make_cache(1, 2, op=NC_READ, key=0x8888))
-        generation = dataplane.codegen.generation
+        compiled = dataplane.codegen.stats()["compiled"]
         ctl.write_memory(handle, "mem1", 128, 55)
-        assert dataplane.codegen.generation == generation
         served = dataplane.process(make_cache(2, 2, op=NC_READ, key=0x8888))
         assert served.packet.headers["nc"]["val"] == 55
+        stats = dataplane.codegen.stats()
+        assert stats["compiled"] == compiled
+        assert stats["invalidations"] == 0
 
     def test_dataplane_writes_visible_without_recompile(self):
         _, dataplane = deployed(PROGRAMS["cache"].source)
@@ -252,7 +259,6 @@ class TestStatsPlumbing:
             "hits",
             "invalidations",
             "fallbacks",
-            "generation",
         }
 
     def test_tracing_falls_back_with_taxonomy_entry(self):

@@ -192,13 +192,18 @@ class TestStatefulReplay:
 
 
 class TestInvalidation:
-    def test_deploy_bumps_generation(self):
+    def test_deploy_keeps_other_programs_flows(self):
+        """Another program's deploy touches neither l2fwd's RPB buckets
+        nor its filter entry (the new one is appended behind it)."""
         ctl, dataplane = deployed(PROGRAMS["l2fwd"].source)
         for _ in range(3):
             dataplane.process(make_l2(dst=0x1))
-        generation = dataplane.flow_cache.generation
+        hits = dataplane.flow_cache.stats()["emc_hits"]
         ctl.deploy(PROGRAMS["dqacc"].source)
-        assert dataplane.flow_cache.generation > generation
+        assert dataplane.process(make_l2(dst=0x1)).egress_port == 1
+        stats = dataplane.flow_cache.stats()
+        assert stats["emc_hits"] == hits + 1
+        assert stats["invalidations"] == 0
 
     def test_revoke_flushes_stale_verdicts(self):
         ctl, dataplane = deployed(PROGRAMS["l2fwd"].source)
@@ -209,23 +214,31 @@ class TestInvalidation:
         result = dataplane.process(make_l2(dst=0x1))
         assert result.egress_port == 0  # default port: program gone
 
-    def test_write_bucket_invalidates(self):
+    def test_write_bucket_keeps_cached_flows(self):
+        """Register contents stale no trace: the stateful trace replays
+        its SALU ops live against the written value."""
         _, dataplane = deployed(PROGRAMS["dqacc"].source)
-        dataplane.process(make_cache(0x0A000001, 0x0A000002, op=1, key=0x1))
-        generation = dataplane.flow_cache.generation
+        pkt = lambda: make_cache(0x0A000001, 0x0A000002, op=1, key=0x1)
+        dataplane.process(pkt())
         dataplane.write_bucket(1, 0, 42)
-        assert dataplane.flow_cache.generation > generation
+        dataplane.process(pkt())
+        stats = dataplane.flow_cache.stats()
+        assert stats["emc_hits"] == 1
+        assert stats["invalidations"] == 0
 
     def test_multicast_reconfig_invalidates(self):
         _, dataplane = deployed(PROGRAMS["l2fwd"].source)
-        generation = dataplane.flow_cache.generation
+        dataplane.process(make_l2(dst=0x1))
         dataplane.configure_multicast_group(1, [2, 3])
-        assert dataplane.flow_cache.generation > generation
+        dataplane.process(make_l2(dst=0x1))
+        stats = dataplane.flow_cache.stats()
+        assert stats["misses"] == 2 and stats["emc_hits"] == 0
+        assert stats["invalidations"] >= 1
 
     def test_stale_hits_counted_as_invalidations(self):
         ctl, dataplane = deployed(PROGRAMS["l2fwd"].source)
         dataplane.process(make_l2(dst=0x1))
-        ctl.deploy(PROGRAMS["dqacc"].source)  # bumps generation
+        ctl.revoke(ctl.running_programs()[0].program_id)  # deletes its entries
         dataplane.process(make_l2(dst=0x1))  # stale EMC + megaflow entries
         assert dataplane.flow_cache.stats()["invalidations"] >= 1
 

@@ -118,6 +118,20 @@ class TestInjectAuditInteraction:
             == service.controller.manager.state_fingerprint()
         )
 
+    def test_inject_audit_record_is_bounded(self):
+        """The journal keeps an inject's packet count and verdict totals,
+        not its packet list: its size does not grow with traffic."""
+        service = ControlService()
+        result_of(run(service, "deploy", {"source": CACHE}))
+        specs = [{"kind": "udp", "count": 5}, {"kind": "udp", "dst_port": 7777}]
+        result = result_of(run(service, "inject", {"packets": specs}))
+        record = [r for r in service.audit.records() if r.method == "inject"][-1]
+        assert record.params == {"packets": 6}
+        assert record.result == {"verdicts": result["verdicts"]}
+        error_of(run(service, "inject", {"packets": "not-a-list"}))
+        record = [r for r in service.audit.records() if r.method == "inject"][-1]
+        assert record.params == {"packets": 0} and record.result == {}
+
     def test_inject_serialized_with_writes(self):
         """inject goes through the admission lock: during a drain it is
         refused like any other write."""

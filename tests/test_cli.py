@@ -240,6 +240,46 @@ class TestServiceSubcommands:
                 client_main(["revoke", "program_id=99", "--port", port]) == 1
             )
 
+    def test_serve_announces_only_a_bound_socket(self):
+        """`p4runpro serve` prints its listening line once the socket is
+        bound: a client that connects on that line is served."""
+        import os
+        import selectors
+        import signal
+        import subprocess
+        import sys
+        import time
+
+        from repro.cli import client_main
+
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0"],
+            stdout=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            line = ""
+            selector = selectors.DefaultSelector()
+            selector.register(proc.stdout, selectors.EVENT_READ)
+            deadline = time.monotonic() + 60
+            while "listening on" not in line:
+                assert time.monotonic() < deadline, "no listening line"
+                if selector.select(timeout=1):
+                    line = proc.stdout.readline()
+                    assert line, "serve exited before listening"
+            port = line.rsplit(":", 1)[1].strip()
+            assert int(port) > 0
+            assert client_main(["ping", "--port", port]) == 0
+        finally:
+            proc.send_signal(signal.SIGINT)
+            try:
+                proc.wait(timeout=30)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+
     def test_client_param_parsing_errors(self, capsys):
         from repro.cli import client_main
 
