@@ -503,14 +503,9 @@ def serve_main(argv: list[str]) -> int:
         help="per-tenant table-entry quota",
     )
     parser.add_argument(
-        "--no-flow-cache", action="store_true",
-        help="disable the two-tier flow cache (every packet walks the "
-        "full pipeline)",
-    )
-    parser.add_argument(
         "--no-codegen", action="store_true",
-        help="disable the trace-to-source codegen tier (cache misses fall "
-        "back to the interpreter); composes with --no-flow-cache",
+        help="disable trace-to-source codegen, the data plane's fast path "
+        "(every packet walks the reference interpreter)",
     )
     parser.add_argument(
         "--no-shm", action="store_true",
@@ -527,14 +522,6 @@ def serve_main(argv: list[str]) -> int:
         "--shm-chunk-packets", type=int, default=None, metavar="N",
         help="packets per streamed ring chunk (default 256); engine "
         "mode only",
-    )
-    parser.add_argument(
-        "--emc-size", type=int, default=8192, metavar="N",
-        help="exact-match cache capacity in flows (default 8192)",
-    )
-    parser.add_argument(
-        "--megaflow-size", type=int, default=4096, metavar="N",
-        help="megaflow trace-cache capacity in entries (default 4096)",
     )
     ns = parser.parse_args(argv)
     import asyncio
@@ -574,11 +561,7 @@ def serve_main(argv: list[str]) -> int:
     if ns.fabric:
         from .fabric import FabricController
 
-        topology = _load_topology(
-            ns.fabric,
-            flow_cache=not ns.no_flow_cache,
-            codegen=not ns.no_codegen,
-        )
+        topology = _load_topology(ns.fabric, codegen=not ns.no_codegen)
         fabric = FabricController(topology, routing=ns.routing)
         service = ControlService(fabric=fabric, tenants=tenants)
         print(
@@ -590,7 +573,6 @@ def serve_main(argv: list[str]) -> int:
 
         engine = ShardedEngine(
             ns.workers,
-            flow_cache=not ns.no_flow_cache,
             codegen=not ns.no_codegen,
             use_shm=not ns.no_shm,
             ring_bytes=ns.shm_ring_bytes or DEFAULT_RING_BYTES,
@@ -628,12 +610,6 @@ def serve_main(argv: list[str]) -> int:
         else:
             controller, dataplane = Controller.with_simulator()
         service = ControlService(controller, dataplane, tenants=tenants)
-    flow_cache = getattr(service.dataplane, "flow_cache", None)
-    if flow_cache is not None:
-        flow_cache.enabled = not ns.no_flow_cache
-        flow_cache.emc_capacity = ns.emc_size
-        flow_cache.megaflow_capacity = ns.megaflow_size
-        flow_cache.flush()
     codegen = getattr(service.dataplane, "codegen", None)
     if codegen is not None:
         codegen.enabled = not ns.no_codegen

@@ -13,7 +13,6 @@
 
 from __future__ import annotations
 
-from ..rmt import flowcache
 from ..rmt.phv import PHV
 from ..rmt.stage import LogicalUnit, Stage
 from ..rmt.table import MatchActionTable
@@ -43,18 +42,6 @@ class InitBlock(LogicalUnit):
         program_id = data["program_id"]
         phv.set("ud.program_id", program_id)
         phv.set("ud.branch_id", 0)
-        rec = flowcache._RECORDER
-        if rec is not None:
-            # The filter-table consults were recorded inside lookup();
-            # record the effect as a synthetic replayable op and mark both
-            # flags as constants under the recorded conditions.
-            def _op(phv, stage, _pid=program_id):
-                phv.set("ud.program_id", _pid)
-                phv.set("ud.branch_id", 0)
-
-            rec.note_op(_op, stage)
-            rec.set_dep("ud.program_id", None)
-            rec.set_dep("ud.branch_id", None)
         if tracing._ACTIVE is not None:
             tracing._ACTIVE.record(self.name, action, data, phv)
 
@@ -75,12 +62,5 @@ class RecirculationBlock(LogicalUnit):
         if action != dp.ACTION_RECIRCULATE:
             raise ValueError(f"recirculation block: unexpected action {action!r}")
         phv.set("ud.recirc_flag", 1)
-        rec = flowcache._RECORDER
-        if rec is not None:
-            def _op(phv, stage):
-                phv.set("ud.recirc_flag", 1)
-
-            rec.note_op(_op, stage)
-            rec.set_dep("ud.recirc_flag", None)
         if tracing._ACTIVE is not None:
             tracing._ACTIVE.record(self.name, action, _data, phv)

@@ -21,10 +21,8 @@ Table 3 plus the compiler-internal OFFSET/BACKUP/RESTORE ops and the
 
 from __future__ import annotations
 
-from ..rmt import flowcache
 from ..rmt.hashing import HashUnit
 from ..rmt.phv import PHV
-from ..rmt.salu import PHV_OUTPUT_OPS
 from ..rmt.stage import LogicalUnit, Stage
 from ..rmt.table import MatchActionTable
 from . import constants as dp
@@ -82,7 +80,6 @@ class RPB(LogicalUnit):
 
     def apply(self, phv: PHV, stage: Stage) -> None:
         entry = self.table.lookup_entry(phv)
-        rec = flowcache._RECORDER
         if entry is None:
             # no entry for this (program, branch, recirc) — a NOP unless
             # the table carries a default action
@@ -90,13 +87,7 @@ class RPB(LogicalUnit):
             if action is None:
                 return
             data = self.table.default_action_data
-            if rec is not None:
-                op = compile_action(self, action, data)
-                op(phv, stage)
-                rec.note_op(op, stage)
-                record_taint(rec, action, data, phv)
-            else:
-                execute_action(self, action, data, phv, stage)
+            execute_action(self, action, data, phv, stage)
             if tracing._ACTIVE is not None:
                 tracing._ACTIVE.record(self.name, action, data, phv)
             return
@@ -105,9 +96,6 @@ class RPB(LogicalUnit):
             op = compile_action(self, entry.action, entry.action_data)
             entry.compiled_op = op
         op(phv, stage)
-        if rec is not None:
-            rec.note_op(op, stage)
-            record_taint(rec, entry.action, entry.action_data, phv)
         if tracing._ACTIVE is not None:
             tracing._ACTIVE.record(self.name, entry.action, entry.action_data, phv)
 
@@ -302,95 +290,3 @@ def execute_action(rpb: RPB, action: str, data: dict, phv: PHV, stage: Stage) ->
         phv.set(dp.REGISTER_FIELDS[data["reg"]], phv.get("ud.reg_backup"))
         return
     raise ValueError(f"RPB {rpb.name}: unknown action {action!r}")
-
-
-def _five_tuple_dep(rec, phv: PHV):
-    """Dependency of a 5-tuple hash output: the union of the present
-    tuple fields' deps (mirrors :func:`_phv_five_tuple`, whose absent
-    layers contribute constants)."""
-    deps = []
-    for name in ("hdr.ipv4.src", "hdr.ipv4.dst", "hdr.ipv4.proto"):
-        if phv.has(name):
-            deps.append(rec.dep_of(name))
-    if phv.has("hdr.tcp.src_port"):
-        deps.append(rec.dep_of("hdr.tcp.src_port"))
-        deps.append(rec.dep_of("hdr.tcp.dst_port"))
-    elif phv.has("hdr.udp.src_port"):
-        deps.append(rec.dep_of("hdr.udp.src_port"))
-        deps.append(rec.dep_of("hdr.udp.dst_port"))
-    return rec.combine(*deps)
-
-
-def record_taint(rec, action: str, data: dict, phv: PHV) -> None:
-    """Propagate flow-cache taint for one executed atomic operation.
-
-    Each rule states what the op's destination now depends on — a
-    constant, a set of raw inputs, or (for SALU outputs) the STATEFUL
-    sentinel.  The rules must mirror the dataflow of
-    :func:`execute_action`; they are what lets a later *consult* of the
-    destination (a BRANCH key, a parser select) emit sound megaflow
-    conditions.  An action outside the closed set kills the trace.
-    """
-    if action == dp.ACTION_SET_BRANCH:
-        rec.set_dep("ud.branch_id", None)
-        return
-    if action == "EXTRACT":
-        field_name = data["field"]
-        reg = dp.REGISTER_FIELDS[data["reg"]]
-        rec.set_dep(reg, rec.dep_of(field_name) if phv.has(field_name) else None)
-        return
-    if action == "MODIFY":
-        field_name = data["field"]
-        if phv.has(field_name):
-            rec.set_dep(field_name, rec.dep_of(dp.REGISTER_FIELDS[data["reg"]]))
-        return
-    if action == "HASH_5_TUPLE":
-        rec.set_dep("ud.har", _five_tuple_dep(rec, phv))
-        return
-    if action == "HASH":
-        return  # har <- f(har): dependency unchanged
-    if action == "HASH_5_TUPLE_MEM":
-        rec.set_dep("ud.mar", _five_tuple_dep(rec, phv))
-        return
-    if action == "HASH_MEM":
-        rec.set_dep("ud.mar", rec.dep_of("ud.har"))
-        return
-    if action == "OFFSET":
-        rec.set_dep("ud.phys_addr", rec.dep_of("ud.mar"))
-        return
-    if action in _MEMORY_OPS:
-        rec.stateful = True
-        if action in PHV_OUTPUT_OPS:
-            rec.set_dep("ud.sar", flowcache.STATEFUL)
-        return
-    if action == "LOADI":
-        rec.set_dep(dp.REGISTER_FIELDS[data["reg"]], None)
-        return
-    if action in _ALU_OPS:
-        reg0 = dp.REGISTER_FIELDS[data["reg0"]]
-        reg1 = dp.REGISTER_FIELDS[data["reg1"]]
-        rec.set_dep(reg0, rec.combine(rec.dep_of(reg0), rec.dep_of(reg1)))
-        return
-    if action == "FORWARD":
-        rec.set_dep("meta.egress_port", None)
-        return
-    if action == "MULTICAST":
-        rec.set_dep("ud.mcast_grp", None)
-        return
-    if action == "DROP":
-        rec.set_dep("ud.drop_ctl", None)
-        return
-    if action == "RETURN":
-        rec.set_dep("ud.reflect", None)
-        return
-    if action == "REPORT":
-        rec.set_dep("ud.to_cpu", None)
-        return
-    if action == "BACKUP":
-        rec.set_dep("ud.reg_backup", rec.dep_of(dp.REGISTER_FIELDS[data["reg"]]))
-        return
-    if action == "RESTORE":
-        rec.set_dep(dp.REGISTER_FIELDS[data["reg"]], rec.dep_of("ud.reg_backup"))
-        return
-    # Unknown action (operator extension): refuse to cache the trace.
-    rec.dead = True

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from ..compiler.entries import EntryConfig
 from ..compiler.target import TargetSpec
-from ..rmt.flowcache import FlowCache
 from ..rmt.packet import Packet
 from ..rmt.parser import ParseMachine, default_parse_machine
 from ..rmt.pipeline import Switch, SwitchConfig, SwitchResult
@@ -52,9 +51,6 @@ class P4runproDataPlane:
         switch_config: SwitchConfig | None = None,
         *,
         include_recirc_block: bool = True,
-        flow_cache: bool = True,
-        flow_cache_emc_capacity: int = 8192,
-        flow_cache_megaflow_capacity: int = 4096,
         codegen: bool = True,
     ):
         self.spec = spec or TargetSpec()
@@ -76,23 +72,17 @@ class P4runproDataPlane:
         self.event_hooks: list = []
         self._build_blocks(machine)
         self.switch.provision_done()
-        #: Two-tier flow cache (EMC + megaflow trace cache) fronting
-        #: :meth:`process` / :meth:`process_many`.  Always constructed so
-        #: counters/stats stay introspectable; ``enabled`` gates use.
-        fc = FlowCache(
-            emc_capacity=flow_cache_emc_capacity,
-            megaflow_capacity=flow_cache_megaflow_capacity,
-        )
-        fc.enabled = flow_cache
-        self.flow_cache = fc
-        self.switch.flow_cache = fc
-        #: trace-to-source codegen tier (between flow cache and the
-        #: interpreter).  Both tiers track the table versions they read
-        #: (repro.rmt.dependency), so table mutations need no hook here;
-        #: write_bucket / reset_memory / multicast changes need no codegen
-        #: invalidation: generated code reads register arrays and the
+        #: trace-to-source codegen, the fast path in front of the
+        #: interpreter.  Generated functions track the table versions
+        #: they read (repro.rmt.dependency), so table mutations need no
+        #: hook here; write_bucket / reset_memory / multicast changes need
+        #: no invalidation: generated code reads register arrays and the
         #: TM's multicast-group dict live on every packet.
         self.codegen = self.switch.codegen
+        # Read only by perfbench/oracle.py:30 (``flow_cache.enabled =
+        # False``), which predates the flow cache's removal; the alias
+        # goes with ROADMAP item 9.
+        self.flow_cache = self.codegen
 
     def add_event_hook(self, hook) -> None:
         """Subscribe ``hook(event: str, detail: dict)`` to binding events."""
@@ -223,12 +213,7 @@ class P4runproDataPlane:
         self._emit("delete_entry", table=table, handle=handle)
 
     def reset_memory(self, phys_rpb: int, base: int, size: int) -> None:
-        # No cache invalidation: no cached trace depends on a register
-        # value.  Pure traces never touch one, stateful traces replay
-        # their SALU ops live, and a trace steered by a register dies at
-        # its first STATEFUL consult whatever the value, so its negative
-        # entry (routing the flow to codegen or the interpreter, which
-        # read registers live) is the same before and after the reset.
+        # No invalidation: generated code reads the arrays live.
         self._array(phys_rpb).reset_range(base, size)
         self._emit("reset_memory", phys_rpb=phys_rpb, base=base, size=size)
 
@@ -237,7 +222,7 @@ class P4runproDataPlane:
         return self._array(phys_rpb).read(addr)
 
     def write_bucket(self, phys_rpb: int, addr: int, value: int) -> None:
-        # Like reset_memory: register contents stale no cached trace.
+        # Like reset_memory: register contents stale no function.
         self._array(phys_rpb).write(addr, value)
 
     def read_entry_counter(self, table: str, handle: int) -> int:
@@ -247,9 +232,6 @@ class P4runproDataPlane:
     def configure_multicast_group(self, group: int, ports: list[int]) -> None:
         """Program the traffic manager's replication table (PRE)."""
         self.switch.tm.configure_multicast_group(group, ports)
-        # Pure-trace templates bake in the replicated egress port list:
-        # the one global flush left.
-        self.flow_cache.flush()
 
     # -- traffic ---------------------------------------------------------------
     def process(
@@ -270,7 +252,7 @@ class P4runproDataPlane:
 
     # -- introspection ---------------------------------------------------------
     def stats(self) -> dict:
-        """Data-plane counters: switch totals, TM verdicts, flow cache."""
+        """Data-plane counters: switch totals, TM verdicts, codegen."""
         switch = self.switch
         tm = switch.tm
         return {
@@ -281,7 +263,6 @@ class P4runproDataPlane:
             "reflected": tm.reflected,
             "to_cpu": tm.to_cpu,
             "multicast": tm.multicast,
-            "flow_cache": self.flow_cache.stats(),
             "codegen": self.codegen.stats(),
         }
 

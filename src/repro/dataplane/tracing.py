@@ -18,7 +18,6 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass, field
 
-from ..rmt import flowcache
 from ..rmt.phv import PHV
 
 
@@ -98,16 +97,14 @@ def emit(unit: str, action: str, data: dict, phv: PHV) -> None:
 def capture_trace():
     """Capture every executed operation within the block.
 
-    Tracing needs a full pipeline walk — a flow-cache template hit would
-    execute no atomic operations at all — so the cache is bypassed (not
-    flushed) for the duration of the capture.
+    Tracing needs the interpreter's walk — generated code records no
+    steps — so codegen defers every packet to the interpreter (its
+    ``tracing`` fallback) while a capture is active.
     """
     global _ACTIVE
     previous = _ACTIVE
     _ACTIVE = Trace()
-    flowcache._BYPASS += 1
     try:
         yield _ACTIVE
     finally:
         _ACTIVE = previous
-        flowcache._BYPASS -= 1

@@ -461,7 +461,6 @@ class ShardedEngine:
         merge_every: int | None = 500_000,
         start_method: str | None = None,
         reply_timeout_s: float = 120.0,
-        flow_cache: bool = True,
         codegen: bool = True,
         vnodes: int = DEFAULT_VNODES,
         use_shm: bool = True,
@@ -502,14 +501,12 @@ class ShardedEngine:
         # Provisioning is pickled before the coordinator freezes the parse
         # machine, so every replica — including workers added long after
         # construction — is built from the same description.  Each worker
-        # owns a private flow cache; FanoutBinding mutations reach every
-        # replica through its own southbound binding, so the per-worker
-        # generation bump needs no extra broadcast.
-        self._setup_bytes = pickle.dumps(
-            (self.spec, parse_machine, flow_cache, codegen)
-        )
+        # owns a private codegen cache; FanoutBinding mutations reach every
+        # replica through its own southbound binding, so the table versions
+        # its functions depend on move without an extra broadcast.
+        self._setup_bytes = pickle.dumps((self.spec, parse_machine, codegen))
         self.dataplane = P4runproDataPlane(
-            self.spec, parse_machine, flow_cache=flow_cache, codegen=codegen
+            self.spec, parse_machine, codegen=codegen
         )
         self.binding = FanoutBinding(self.dataplane, self)
         self.controller = Controller(self.binding, spec=self.spec)
@@ -1679,24 +1676,12 @@ class ShardedEngine:
         worker_ids = self.worker_ids
         shards = [self._request(worker, ("stats",)) for worker in worker_ids]
         totals: dict[str, int] = {}
-        flow_cache: dict[str, int] = {}
         codegen: dict = {}
         for shard in shards + self._retired_stats:
             for key, value in shard.items():
-                if key == "flow_cache":
-                    # Nested per-worker cache stats: sum the counters and
-                    # the occupancy, drop per-worker bookkeeping (enabled)
-                    # from the aggregate.
-                    for ckey, cvalue in value.items():
-                        if ckey == "occupancy":
-                            for okey, ovalue in cvalue.items():
-                                flow_cache[okey] = flow_cache.get(okey, 0) + ovalue
-                        elif isinstance(cvalue, int) and not isinstance(cvalue, bool):
-                            flow_cache[ckey] = flow_cache.get(ckey, 0) + cvalue
-                elif key == "codegen":
-                    # Same shape discipline for the per-worker codegen
-                    # caches: sum counters, merge the fallback-reason map,
-                    # drop the enabled flag.
+                if key == "codegen":
+                    # Nested per-worker codegen stats: sum counters, merge
+                    # the fallback-reason map, drop the enabled flag.
                     for ckey, cvalue in value.items():
                         if ckey == "fallbacks":
                             merged = codegen.setdefault("fallbacks", {})
@@ -1706,8 +1691,6 @@ class ShardedEngine:
                             codegen[ckey] = codegen.get(ckey, 0) + cvalue
                 else:
                     totals[key] = totals.get(key, 0) + value
-        if flow_cache:
-            totals["flow_cache"] = flow_cache
         if codegen:
             totals["codegen"] = codegen
         return {

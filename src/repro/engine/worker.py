@@ -33,15 +33,21 @@ deletes and counter reads address entries by coordinator handle.
 
 The module is import-safe for both ``fork`` and ``spawn`` start methods:
 :func:`worker_main` is a top-level function and builds its replica from a
-pickled ``(TargetSpec, ParseMachine | None)`` provisioning tuple.
+pickled ``(TargetSpec, ParseMachine | None, codegen)`` provisioning tuple.
+
+A worker exits when its coordinator does, however the coordinator died:
+every wait for a frame also watches the parent-process sentinel
+(:func:`_frame_waiter`).
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import pickle
 import signal
 import time
 import traceback
+from multiprocessing.connection import wait
 
 from . import shm as shm_codec
 from .sbwire import decode_msg, encode_msg, unpack_entry
@@ -51,13 +57,31 @@ from .shm import ShmRing
 def _build_dataplane(setup_bytes: bytes):
     from ..dataplane.runpro import P4runproDataPlane
 
-    setup = pickle.loads(setup_bytes)
-    spec, parse_machine = setup[0], setup[1]
-    flow_cache = setup[2] if len(setup) > 2 else True
-    codegen = setup[3] if len(setup) > 3 else True
-    return P4runproDataPlane(
-        spec, parse_machine, flow_cache=flow_cache, codegen=codegen
-    )
+    spec, parse_machine, codegen = pickle.loads(setup_bytes)
+    return P4runproDataPlane(spec, parse_machine, codegen=codegen)
+
+
+def _frame_waiter(conn):
+    """``ready(timeout)``: whether a frame is waiting on ``conn`` within
+    ``timeout`` seconds (``None``: block), raising :class:`EOFError`
+    once the coordinator has exited.
+
+    Pipe EOF cannot signal that under ``fork``: a forked worker inherits
+    the coordinator's end of its own pipe (and of every earlier worker's
+    pipe), so the peer end never closes while the worker lives.  The
+    parent-process sentinel becomes readable when the coordinator dies,
+    whatever descriptors leaked into its children.
+    """
+    sentinel = multiprocessing.parent_process().sentinel
+    watch = (conn, sentinel)
+
+    def ready(timeout: float | None) -> bool:
+        got = wait(watch, timeout)
+        if sentinel in got:
+            raise EOFError("coordinator exited")
+        return bool(got)
+
+    return ready
 
 
 def _apply_ctl(dataplane, handle_map: dict, op: tuple) -> None:
@@ -95,7 +119,6 @@ def _stats_payload(dataplane) -> dict:
         "reflected": tm.reflected,
         "to_cpu": tm.to_cpu,
         "multicast": tm.multicast,
-        "flow_cache": dataplane.flow_cache.stats(),
         "codegen": dataplane.codegen.stats(),
     }
 
@@ -119,7 +142,9 @@ def _run_batch(dataplane, mode: str, packets) -> tuple[list, float]:
     return payload, cpu_s
 
 
-def _serve_shm_batch(conn, dataplane, mode: str, rings, reply_buf) -> None:
+def _serve_shm_batch(
+    conn, frame_ready, dataplane, mode: str, rings, reply_buf
+) -> None:
     """One streamed batch session over the shared-memory ring pair.
 
     Drains packet chunks from the request ring (processing each as soon
@@ -140,8 +165,8 @@ def _serve_shm_batch(conn, dataplane, mode: str, rings, reply_buf) -> None:
 
     def pipe_turn(timeout: float = 0.0005) -> None:
         # A blocked session still listens: batch_rest redirects the tail
-        # of the stream to the pipe, a closed pipe ends the worker.
-        if conn.poll(timeout):
+        # of the stream to the pipe, a dead coordinator ends the worker.
+        if frame_ready(timeout):
             msg = decode_msg(conn.recv_bytes())
             if msg[0] != "batch_rest":
                 raise ValueError(f"unexpected {msg[0]!r} during shm batch")
@@ -221,6 +246,7 @@ def _serve(conn, setup_bytes: bytes, rings) -> None:
     applied_gen = 0
     ctl_errors: list[str] = []
     reply_buf = bytearray()
+    frame_ready = _frame_waiter(conn)
     # Zero-packet sub-batches reply with this precomputed frame: no
     # pickling an empty list per request on either end.
     empty_reply = bytes(
@@ -230,6 +256,7 @@ def _serve(conn, setup_bytes: bytes, rings) -> None:
     )
     while True:
         try:
+            frame_ready(None)
             msg = decode_msg(conn.recv_bytes())
         except (EOFError, OSError):
             return
@@ -257,7 +284,9 @@ def _serve(conn, setup_bytes: bytes, rings) -> None:
             elif kind == "batch_shm":
                 if rings is None:
                     raise RuntimeError("shm rings unavailable in this worker")
-                _serve_shm_batch(conn, dataplane, msg[1], rings, reply_buf)
+                _serve_shm_batch(
+                    conn, frame_ready, dataplane, msg[1], rings, reply_buf
+                )
             elif kind == "batch":
                 # Packets arrive as one pickle blob (bytes leaf) and the
                 # results go back the same way — one pickle per batch is
@@ -321,6 +350,8 @@ def _serve(conn, setup_bytes: bytes, rings) -> None:
                 return
             else:
                 raise ValueError(f"unknown message {kind!r}")
+        except EOFError:
+            return  # the coordinator exited mid-request
         except Exception:
             # Synchronous requests get the failure as their reply; the
             # coordinator raises it as a WorkerError.

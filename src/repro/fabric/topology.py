@@ -154,7 +154,6 @@ class FabricNode:
         spec: TargetSpec | None = None,
         parse_machine=None,
         workers: int = 0,
-        flow_cache: bool = True,
         codegen: bool = True,
     ):
         self.name = name
@@ -170,16 +169,13 @@ class FabricNode:
                 workers,
                 spec=spec,
                 parse_machine=parse_machine,
-                flow_cache=flow_cache,
                 codegen=codegen,
             )
             self.controller = self.engine.controller
             self.dataplane = self.engine.dataplane
         else:
             self.engine = None
-            self.dataplane = P4runproDataPlane(
-                spec, parse_machine, flow_cache=flow_cache, codegen=codegen
-            )
+            self.dataplane = P4runproDataPlane(spec, parse_machine, codegen=codegen)
             self.controller = Controller(self.dataplane, spec=spec)
 
     def process_batch(self, packets: list) -> list:
@@ -308,7 +304,6 @@ class Topology:
         spec: TargetSpec | None = None,
         parse_machine=None,
         workers: int = 0,
-        flow_cache: bool = True,
         codegen: bool = True,
         host_ports: int = 4,
         latency_s: float = 2e-6,
@@ -352,7 +347,6 @@ class Topology:
                     spec=spec,
                     parse_machine=parse_machine,
                     workers=workers,
-                    flow_cache=flow_cache,
                     codegen=codegen,
                 )
             )
@@ -368,7 +362,6 @@ class Topology:
                     spec=spec,
                     parse_machine=parse_machine,
                     workers=workers,
-                    flow_cache=flow_cache,
                     codegen=codegen,
                 )
             )

@@ -1,15 +1,14 @@
 """Trace-to-source codegen: compile pipeline traversals to Python functions.
 
-The third execution tier.  The flow cache (tier 1) serves flows it has
-already recorded; everything else walks the interpreter (tier 3) through
-per-stage/per-table/per-action closures.  This module sits in between:
-for each wire-header composition it *emits an actual Python function* —
-textual source + ``compile()`` — that inlines the parser state machine,
-the pre-indexed match candidates of every table, and the compiled VLIW
-action bodies into straight-line code with early exits.  A cache-disabled
-switch (or an uncacheable flow routed through
-:meth:`Switch._process_miss`) then pays one dict lookup and one function
-call per packet instead of the full closure dispatch.
+The switch's one fast path, in front of the reference interpreter.  The
+interpreter walks every packet through per-stage/per-table/per-action
+closures.  This module instead *emits an actual Python function* per
+wire-header composition — textual source + ``compile()`` — that inlines
+the parser state machine, the pre-indexed match candidates of every
+table, and the compiled VLIW action bodies into straight-line code with
+early exits.  A packet then pays one dict lookup and one function call
+instead of the full closure dispatch; whatever the generator refuses
+(the fallback taxonomy below) walks the interpreter.
 
 Specialization levers:
 
@@ -31,10 +30,9 @@ Exactness contract: a generated function is bit-identical to the
 interpreter — verdicts, egress ports, recirculation passes, bridge state,
 deparsed headers, register-array contents and access counters, and every
 table/entry lookup/hit counter.  Stateful SALU and hash ops execute live
-against the register arrays (like the megaflow stateful-replay tier);
-register-value-steered matching (BRANCH entries on har/sar/mar) is
-re-evaluated per packet, which is why it is sound here although the flow
-cache must refuse to cache it.  ``execute_action`` /
+against the register arrays, and register-value-steered matching
+(BRANCH entries on har/sar/mar) is re-evaluated per packet, so neither
+needs invalidation.  ``execute_action`` /
 ``lookup_reference_entry`` remain the oracle; the hypothesis churn suite
 in tests/property/test_codegen_equivalence.py pins the contract.
 
@@ -57,7 +55,6 @@ generated code reads and writes the live arrays.
 Fallback taxonomy (reasons reported via :meth:`CodegenCache.stats`):
 
 ====================  ====================================================
-``recording``         a flow-cache recording pass or bypass is active
 ``tracing``           execution tracing is observing the real traversal
 ``parser-unfrozen``   the switch is still being provisioned
 ``guard``             per-packet header field-set mismatch (slow-path PHV)
@@ -84,7 +81,6 @@ from __future__ import annotations
 
 import sys
 
-from . import flowcache
 from .dependency import EPOCH, Dependent
 from .table import MatchActionTable, _entry_order
 
@@ -154,8 +150,7 @@ class CodegenCache:
     # Straight-line bodies that provably cannot raise defer their
     # constant per-call counter bumps (table lookups, unconditional
     # hits, TM verdicts) into a per-body call cell, applied in bulk at
-    # batch end — the same batch-scoped coalescing the flow cache uses
-    # (nothing can observe counters mid-batch).
+    # batch end (nothing can observe counters mid-batch).
     def end_batch(self) -> None:
         self._flush_counters()
 
@@ -193,8 +188,6 @@ class CodegenCache:
 
     def run(self, switch, packet):
         """Serve one packet, or return ``None`` to defer to the interpreter."""
-        if flowcache._RECORDER is not None or flowcache._BYPASS:
-            return self._fallback("recording")
         tracing = sys.modules.get("repro.dataplane.tracing")
         if tracing is not None and tracing._ACTIVE is not None:
             return self._fallback("tracing")

@@ -1,9 +1,9 @@
-"""The dependency model shared by every cache derived from table contents.
+"""The dependency model of results derived from table contents.
 
 Table mutations bump :class:`Version` counters (which ones, and what a
-lookup depends on, is argued in :mod:`repro.rmt.table`).  A cached result
-— a flow-cache trace, a generated function — records the ``(version, n)``
-pairs of everything it read.  It stays valid while every recorded
+lookup depends on, is argued in :mod:`repro.rmt.table`).  A generated
+function (:mod:`repro.rmt.codegen`) records the ``(version, n)`` pairs of
+everything its emission read.  It stays valid while every recorded
 version still reads ``n``; a control op that touches other programs'
 pools therefore leaves it alone.
 
@@ -34,8 +34,8 @@ EPOCH = Version()
 
 
 class Dependent:
-    """Base of every cached result derived from table contents (flow-cache
-    entries, generated functions): an epoch stamp plus the versions read."""
+    """Base of a cached result derived from table contents (a generated
+    function): an epoch stamp plus the versions read."""
 
     __slots__ = ("epoch", "versions")
 

@@ -83,16 +83,11 @@ class ParseMachine:
         return self._frozen
 
     # -- runtime ----------------------------------------------------------
-    def parse(self, packet: Packet, phv: PHV, recorder=None) -> int:
+    def parse(self, packet: Packet, phv: PHV) -> int:
         """Run the machine over a packet, loading headers into the PHV.
 
         Returns the parsing bitmap, which is also stored in the PHV as
         ``ud.parse_bitmap``.
-
-        ``recorder`` is a flow-cache :class:`~repro.rmt.flowcache.Recorder`
-        during a recording miss pass: every header presence check and
-        select-field read is reported so the megaflow key covers exactly
-        the bits this traversal consulted.
         """
         if self.start is None:
             raise RuntimeError("parse machine has no start state")
@@ -108,24 +103,16 @@ class ParseMachine:
                 if not packet.has(state.header):
                     # The wire didn't carry the header this state expects;
                     # stop parsing, as a hardware parser would on short pkts.
-                    if recorder is not None:
-                        recorder.note_header_missing(state.header)
                     break
                 phv.load_header(state.header)
-                if recorder is not None:
-                    recorder.note_header_loaded(state.header, packet)
                 bit = self.bitmap_bits.get(state.header)
                 if bit is not None:
                     bitmap |= 1 << bit
             if state.select is None:
                 break
             key = phv.get(state.select)
-            if recorder is not None:
-                recorder.note_field_consult(state.select, -1)
             state_name = state.transitions.get(key, state.transitions.get(None, self.ACCEPT))
         phv.set("ud.parse_bitmap", bitmap)
-        if recorder is not None:
-            recorder.note_bitmap(bitmap)
         return bitmap
 
     def parsing_paths(self) -> list[int]:

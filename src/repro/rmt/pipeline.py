@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .codegen import CodegenCache
 from .packet import Packet
 from .parser import ParseMachine
 from .phv import PHV, PHVLayout
@@ -183,10 +184,8 @@ class Switch:
         #: total packets injected / recirculation passes, for load accounting
         self.packets_in = 0
         self.pipeline_passes = 0
-        #: optional two-tier flow cache fronting :meth:`process_packet`
-        #: (attached by the data-plane layer; ``None`` on a raw switch)
-        self.flow_cache = None
-        #: trace-to-source codegen tier serving the cache-miss path
+        #: trace-to-source codegen: the fast path in front of the
+        #: interpreter
         self.codegen = CodegenCache(enabled=codegen)
         #: PHV free list, active only inside :meth:`process_batch`
         self._phv_pool: list[PHV] = []
@@ -248,55 +247,29 @@ class Switch:
         ``carried`` injects bridge-header state from an upstream device
         (the previous switch of a chain) before the first pass.
 
-        When a flow cache is attached (and no upstream carry makes the
-        input unkeyable), the cache front door takes over: hit -> trace
-        replay, miss -> recorded traversal through
-        :meth:`_process_packet`.
+        Generated code serves the packet when it can; everything it
+        refuses (see the fallback taxonomy in :mod:`repro.rmt.codegen`)
+        walks the interpreter in :meth:`_process_packet`.
         """
-        fc = self.flow_cache
-        if (
-            fc is not None
-            and carried is None
-            and fc.enabled
-            and not flowcache._BYPASS
-        ):
-            return fc.process(self, packet)
         if carried is None:
             cg = self.codegen
             if cg.enabled:
                 result = cg.run(self, packet)
                 if result is not None:
                     return result
-        return self._process_packet(packet, carried, None)
-
-    def _process_miss(self, packet: Packet) -> SwitchResult:
-        """Flow-cache miss path for inputs the cache refuses to key
-        (negative megaflow entries): try the codegen tier, fall back to
-        the interpreter."""
-        cg = self.codegen
-        if cg.enabled:
-            result = cg.run(self, packet)
-            if result is not None:
-                return result
-        return self._process_packet(packet, None, None)
+        return self._process_packet(packet, carried)
 
     def _process_packet(
-        self,
-        packet: Packet,
-        carried: dict[str, int] | None,
-        rec,
+        self, packet: Packet, carried: dict[str, int] | None
     ) -> SwitchResult:
-        """The uncached traversal; ``rec`` is a flow-cache recorder during
-        a recording miss pass (``None`` otherwise)."""
+        """The interpreted traversal: the reference semantics."""
         self.packets_in += 1
         recirculations = 0
         current = packet
         while True:
             self.pipeline_passes += 1
             phv = self._acquire_phv(current)
-            if rec is not None:
-                rec.begin_pass()
-            self.parse_machine.parse(current, phv, rec)
+            self.parse_machine.parse(current, phv)
             if carried is not None:
                 # Restore the stateless carry (registers, flags, addresses)
                 # that the recirculation block attached to the packet header
@@ -317,24 +290,14 @@ class Switch:
             # the final pass (drop/reflect intents stay latched in the PHV
             # and are carried across passes).
             will_recirculate = bool(phv.get("ud.recirc_flag"))
-            if rec is not None:
-                rec.note_field_consult("ud.recirc_flag", 1)
             if not will_recirculate:
-                if rec is not None:
-                    # DROP short-circuits egress, so the drop decision is
-                    # part of the recorded op sequence.
-                    rec.note_field_consult("ud.drop_ctl", 1)
                 verdict, port = self.tm.decide(phv)
                 if verdict is Verdict.DROP:
-                    if rec is not None:
-                        rec.finish_pass(phv, None)
                     result = SwitchResult(
                         verdict, None, phv.deparse(), recirculations, (), bridge_state()
                     )
                     self._release_phv(phv)
                     return result
-            if rec is not None:
-                rec.begin_egress()
             self.egress.process(phv)
             if will_recirculate:
                 recirculations += 1
@@ -349,8 +312,6 @@ class Switch:
                 # egress port) is stateless per-packet data and rides the
                 # bridge header like the registers and flags do.
                 carried["meta.egress_port"] = phv.get("meta.egress_port")
-                if rec is not None:
-                    rec.finish_pass(phv, carried)
                 current = phv.deparse()
                 self._release_phv(phv)
                 current.ingress_port = RECIRC_PORT
@@ -358,8 +319,6 @@ class Switch:
             ports: tuple[int, ...] = ()
             if verdict is Verdict.MULTICAST:
                 ports = self.tm.multicast_groups[phv.get("ud.mcast_grp")]
-            if rec is not None:
-                rec.finish_pass(phv, None)
             result = SwitchResult(
                 verdict, port, phv.deparse(), recirculations, ports, bridge_state()
             )
@@ -385,18 +344,13 @@ class Switch:
         process = self.process_packet
         # PHV pooling is batch-scoped: callers of process_packet may hold
         # no reference past the return, so reuse is only safe while this
-        # frame owns the loop.  Flow-cache counter coalescing is likewise
+        # frame owns the loop.  Codegen counter coalescing is likewise
         # batch-scoped (nothing can observe counters mid-batch).
-        fc = self.flow_cache
         self._pooling = True
-        if fc is not None:
-            fc.begin_batch()
         try:
             return [process(packet, carried) for packet in packets]
         finally:
             self._pooling = False
-            if fc is not None:
-                fc.end_batch()
             self.codegen.end_batch()
 
     # -- throughput model (Fig. 11) -----------------------------------------
@@ -432,11 +386,3 @@ class Switch:
         per_pass_ms = 0.08 + 0.11 * (packet_size / 1500.0)
         return recirc_iterations * per_pass_ms
 
-
-# Imported at the bottom: flowcache imports Verdict/SwitchResult/RECIRC_PORT
-# from this module inside its replay methods, so a top-of-file import here
-# would be circular.  Only module *attributes* (_BYPASS, the FlowCache
-# class) are touched at runtime, which a partially-initialized module
-# object satisfies.
-from . import flowcache  # noqa: E402
-from .codegen import CodegenCache  # noqa: E402

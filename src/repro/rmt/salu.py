@@ -53,15 +53,6 @@ def make_salu_programs(width: int = 32) -> dict[str, SaluProgram]:
 
 MEMORY_OPS: frozenset[str] = frozenset(make_salu_programs().keys())
 
-#: Memory ops whose SALU output lands in the PHV (``ud.sar``) — everything
-#: but the blind store.  The flow cache's recording pass uses this to
-#: taint ``ud.sar`` as STATEFUL after such an op: the trace stays
-#: replayable (the op closure re-executes against the live array on every
-#: hit), but any *control-flow* consult of the tainted register — a BRANCH
-#: entry matching ``ud.sar`` — makes the trace uncacheable, since replay
-#: could not re-derive which entries would match.
-PHV_OUTPUT_OPS: frozenset[str] = frozenset(MEMORY_OPS - {"MEMWRITE"})
-
 #: Shard-merge semantics of each SALU microprogram, for the flow-sharded
 #: engine (:mod:`repro.engine`).  A kind names the commutative monoid the
 #: op's bucket updates form, so N shard replicas that each started from a

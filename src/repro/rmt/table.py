@@ -26,9 +26,9 @@ Two lookup paths exist:
   naive full scan through :class:`TernaryKey.matches` used as the oracle by
   the equivalence property tests.
 
-Derived state — the compiled pools below, the flow cache's traces and
-the codegen tier's generated functions — is kept valid by one dependency
-model, built from :class:`Version` counters:
+Derived state — the compiled pools below and codegen's generated
+functions — is kept valid by one dependency model, built from
+:class:`Version` counters:
 
 * an indexed table keeps one version per index bucket plus one for its
   unindexed pool; an insert or delete bumps only the version of the pool
@@ -64,7 +64,6 @@ import itertools
 from bisect import insort
 from dataclasses import dataclass, field
 
-from . import flowcache
 from .dependency import EPOCH, Version
 from .phv import PHV
 
@@ -355,9 +354,6 @@ class MatchActionTable:
     def lookup_entry(self, phv: PHV) -> TableEntry | None:
         """Fast path: return the winning live entry (or ``None``), updating
         the lookup/hit counters exactly as :meth:`lookup` does."""
-        rec = flowcache._RECORDER
-        if rec is not None:
-            return self._lookup_entry_recorded(rec, phv)
         self.lookups += 1
         cl = phv.cl
         if self._compiled_cl is not cl:
@@ -396,49 +392,6 @@ class MatchActionTable:
                 self.hits += 1
                 entry.hits += 1
                 return entry
-        return None
-
-    def _lookup_entry_recorded(self, rec, phv: PHV) -> TableEntry | None:
-        """Recording-pass lookup: identical semantics and counters to
-        :meth:`lookup_entry`, but every key consulted along the scan is
-        reported to the flow-cache recorder — the per-failing-entry keys
-        up to and including the first mismatch, and the winner's full key
-        set.  Entries after the winner are never consulted, so their
-        masks stay out of the megaflow key (that is what makes the cache
-        a *megaflow* cache rather than an exact-match one)."""
-        self.lookups += 1
-        cl = phv.cl
-        if self._compiled_cl is not cl:
-            self._recompile(cl)
-        if self._index_field is not None:
-            if phv.has(self._index_field):
-                rec.note_field_consult(self._index_field, self._index_mask)
-                key = phv.get(self._index_field) & self._index_mask
-            else:
-                rec.note_field_absent(self._index_field)
-                key = "*"
-        else:
-            key = "*"
-        pool = self._compiled_pools.get(key)
-        if pool is None:
-            pool = self._build_pool(key, cl)
-        for _triples, entry in pool:
-            matched = True
-            for fname, value, mask in entry.compiled_keys:
-                if not phv.has(fname):
-                    rec.note_field_absent(fname)
-                    matched = False
-                    break
-                rec.note_field_consult(fname, mask)
-                if (phv.get(fname) & mask) != value:
-                    matched = False
-                    break
-            if matched:
-                self.hits += 1
-                entry.hits += 1
-                rec.note_lookup(self, entry, self.versions_read(key, entry))
-                return entry
-        rec.note_lookup(self, None, self.versions_read(key, None))
         return None
 
     def versions_read(self, key, winner: TableEntry | None) -> tuple:

@@ -1235,23 +1235,13 @@ class ControlService:
             raise ServiceError(ErrorCode.BAD_REQUEST, "missing param 'program_id'")
         program_id = self._program_id(tenant_name, params)
         stats = self.controller.program_stats(program_id)
-        flow_cache = self._flow_cache_stats()
-        if flow_cache is not None:
-            stats["flow_cache"] = flow_cache
         codegen = self._codegen_stats()
         if codegen is not None:
             stats["codegen"] = codegen
         return stats
 
-    def _flow_cache_stats(self) -> dict | None:
-        """Data-plane flow-cache counters (aggregated in engine mode)."""
-        if self.engine is not None:
-            return self.engine.stats()["totals"].get("flow_cache")
-        cache = getattr(self.dataplane, "flow_cache", None)
-        return cache.stats() if cache is not None else None
-
     def _codegen_stats(self) -> dict | None:
-        """Codegen-tier counters (aggregated in engine mode)."""
+        """Codegen counters (aggregated in engine mode)."""
         if self.engine is not None:
             return self.engine.stats()["totals"].get("codegen")
         cache = getattr(self.dataplane, "codegen", None)
@@ -1329,9 +1319,6 @@ class ControlService:
             "deploy_cache": self.controller.deploy_cache.stats(),
             "solver": solver.cache_stats(),
         }
-        flow_cache = self._flow_cache_stats()
-        if flow_cache is not None:
-            snapshot["caches"]["flow_cache"] = flow_cache
         codegen = self._codegen_stats()
         if codegen is not None:
             snapshot["caches"]["codegen"] = codegen

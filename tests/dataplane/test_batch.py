@@ -89,3 +89,10 @@ def test_switch_process_batch_counts_passes():
     before = switch.packets_in
     dataplane.process_many([make_udp(1, 2, 3, 4) for _ in range(5)])
     assert switch.packets_in == before + 5
+
+
+def test_interpreted_batch_reuses_phvs():
+    _, dataplane, _ = build()
+    dataplane.codegen.enabled = False  # pooling serves the interpreter
+    dataplane.process_many([make_udp(i + 1, 2, 3, 4) for i in range(32)])
+    assert len(dataplane.switch._phv_pool) >= 1

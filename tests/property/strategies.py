@@ -1,6 +1,17 @@
-"""Shared hypothesis strategies for generating valid P4runpro programs."""
+"""Shared hypothesis strategies for generating valid P4runpro programs,
+and the example budget of the churn suites."""
 
+from hypothesis import settings
 from hypothesis import strategies as st
+
+
+def churn_examples(tier1: int) -> int:
+    """Example count of an engine churn suite (migration, shm, codegen
+    engine): ``tier1`` under the default profile, the profile's own count
+    under ``HYPOTHESIS_PROFILE=nightly`` (registered in conftest.py)."""
+    if settings.get_current_profile_name() == "nightly":
+        return max(tier1, settings.default.max_examples)
+    return tier1
 
 SIMPLE_TEMPLATES = [
     "LOADI(har, {i});",

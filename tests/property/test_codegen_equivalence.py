@@ -1,4 +1,4 @@
-"""Codegen tier vs interpreter: observational equivalence under churn.
+"""Codegen vs interpreter: observational equivalence under churn.
 
 Two data planes run the same randomized schedule — deploys, revokes,
 dynamic ``add_case`` growth, control-plane register writes, and traffic
@@ -10,17 +10,15 @@ identical; at the end the register arrays, traffic-manager counters, and
 per-table lookup/hit counters must match bit for bit.  Generated code is
 only allowed to make forwarding *faster*, never *different* — including
 for stateful programs whose SALU ops re-execute on every packet, for
-register-branching programs the megaflow cache refuses, and across
-mid-stream invalidation (a stale function must never run: each one
+register-branching programs whose BRANCH keys read live registers, and
+across mid-stream invalidation (a stale function must never run: each one
 depends on the table versions it read, and a ``steal`` op installs a
 filter entry that orders ahead of the entries a cached chain tested).
 
-Three configurations are proven:
+Two configurations are proven:
 
-* codegen alone (flow cache off) against the bare interpreter;
-* the full three-tier stack (EMC/megaflow -> codegen -> interpreter)
-  against the bare interpreter — this exercises the ``_process_miss``
-  hand-off where negative megaflow entries route to generated code;
+* the shipped data plane (codegen in front of the interpreter) against
+  the bare interpreter;
 * a 2-worker sharded engine with per-worker codegen caches against an
   identical engine with codegen disabled.
 """
@@ -35,10 +33,10 @@ from repro.lang.errors import P4runproError
 from repro.programs import PROGRAMS
 from repro.rmt.packet import make_cache, make_l2, make_tcp, make_udp
 from repro.rmt.table import TableEntry, TernaryKey
+from tests.property.strategies import churn_examples
 
 #: deployable mix: stateless forwarding, stateful aggregation, a
-#: recirculating program, and a register-branching one (uncacheable for
-#: the megaflow tier but fully codegen-servable)
+#: recirculating program, and a register-branching one
 NAMES = ("l2fwd", "dqacc", "cache", "firewall", "hh")
 
 ops_strategy = st.lists(
@@ -80,9 +78,13 @@ def steal(dataplanes, stolen, arg, live):
     ))
 
 
-#: a flow cached under l2fwd's filter, then taken over by a stealing one
+#: a flow compiled under l2fwd's filter, then taken over by a stealing one
 STEAL_EXAMPLE = [("deploy", "l2fwd"), ("traffic", 0), ("steal", 0), ("traffic", 0)]
-#: flows cached under cache's bucket, then one of them served by a new case
+#: a stolen flow compiled under the filter entry it matched, then that
+#: entry deleted: the flow falls back to l2fwd's filter
+DELETE_MATCHED_EXAMPLE = [("deploy", "l2fwd"), ("steal", 2), ("traffic", 0),
+                          ("steal", 1), ("traffic", 0)]
+#: flows compiled under cache's bucket, then one of them served by a new case
 ADD_CASE_EXAMPLE = [("deploy", "cache"), ("traffic", 0), ("add_case", 1), ("traffic", 0)]
 
 
@@ -196,12 +198,14 @@ def _assert_final_state(subject, reference):
 @settings(max_examples=20, deadline=None)
 @given(ops=ops_strategy)
 @example(ops=STEAL_EXAMPLE)
+@example(ops=DELETE_MATCHED_EXAMPLE)
 @example(ops=ADD_CASE_EXAMPLE)
 def test_codegen_forwarding_is_observationally_identical(ops):
-    """Codegen tier alone (flow cache off) vs the bare interpreter."""
-    subject = P4runproDataPlane(flow_cache=False)
+    """The shipped data plane (codegen in front of the interpreter) vs
+    the bare interpreter."""
+    subject = P4runproDataPlane()
     subject_ctl = Controller(subject)
-    reference = P4runproDataPlane(flow_cache=False, codegen=False)
+    reference = P4runproDataPlane(codegen=False)
     reference_ctl = Controller(reference)
     assert subject.codegen.enabled
     assert not reference.codegen.enabled
@@ -213,28 +217,7 @@ def test_codegen_forwarding_is_observationally_identical(ops):
     _assert_final_state(subject, reference)
 
 
-@settings(max_examples=15, deadline=None)
-@given(ops=ops_strategy)
-@example(ops=STEAL_EXAMPLE)
-@example(ops=ADD_CASE_EXAMPLE)
-def test_three_tier_stack_is_observationally_identical(ops):
-    """The full stack — EMC/megaflow cache over codegen over interpreter
-    — vs the bare interpreter.  Register-branching programs (firewall)
-    get negative megaflow entries, so this drives the cache-miss
-    ``_process_miss`` hand-off into generated code under churn."""
-    subject_ctl, subject = Controller.with_simulator()
-    reference = P4runproDataPlane(flow_cache=False, codegen=False)
-    reference_ctl = Controller(reference)
-    assert subject.flow_cache.enabled and subject.codegen.enabled
-
-    _churn(
-        ops, subject_ctl, subject.process_many, reference_ctl,
-        reference.process_many,
-    )
-    _assert_final_state(subject, reference)
-
-
-@settings(max_examples=5, deadline=None)
+@settings(max_examples=churn_examples(5), deadline=None)
 @given(ops=ops_strategy)
 def test_sharded_engine_codegen_equivalence(ops):
     """2-worker engines, codegen on vs off: per-packet results, merged

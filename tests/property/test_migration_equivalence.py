@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.controlplane import Controller
 from repro.engine import ShardedEngine
 from repro.programs import PROGRAMS
+from tests.property.strategies import churn_examples
 from tests.property.test_codegen_equivalence import NAMES, _churn
 
 MAX_WORKERS = 5
@@ -57,7 +58,7 @@ def _apply_topology(engine, op, arg):
             engine.migrate(pinned[arg % len(pinned)])
 
 
-@settings(max_examples=5, deadline=None)
+@settings(max_examples=churn_examples(5), deadline=None)
 @given(ops=ops_strategy)
 # l2fwd is data-parallel (placement maps it to None): nothing to migrate
 @example(ops=[("deploy", "l2fwd"), ("migrate", 0), ("traffic", 0), ("traffic", 1)])
@@ -99,7 +100,7 @@ def test_elastic_engine_is_observationally_identical(ops):
         assert engine.num_workers >= 1
 
 
-@settings(max_examples=3, deadline=None)
+@settings(max_examples=churn_examples(3), deadline=None)
 @given(ops=ops_strategy)
 def test_elastic_engine_matches_static_engine(ops):
     """Same schedule against a 2-worker engine that never rescales: the

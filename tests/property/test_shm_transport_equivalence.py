@@ -22,6 +22,7 @@ from repro.engine import ShardedEngine
 from repro.lang.errors import P4runproError
 from repro.programs import PROGRAMS
 
+from .strategies import churn_examples
 from .test_codegen_equivalence import NAMES, _burst, _churn, _outcome
 
 ops_strategy = st.lists(
@@ -64,7 +65,7 @@ def _assert_final_state(subject, ref, live):
         assert got[attr] == want[attr], attr
 
 
-@settings(max_examples=5, deadline=None)
+@settings(max_examples=churn_examples(5), deadline=None)
 @given(ops=ops_strategy)
 def test_shm_transport_is_observationally_identical(ops):
     """2-worker engines, shm rings vs pipes, same churn schedule."""
@@ -81,7 +82,7 @@ def test_shm_transport_is_observationally_identical(ops):
         assert ref.transport_stats()["ring_batches"] == 0
 
 
-@settings(max_examples=3, deadline=None)
+@settings(max_examples=churn_examples(3), deadline=None)
 @given(ops=rescale_ops_strategy)
 def test_shm_transport_equivalent_under_rescale(ops):
     """Worker add/remove churn in lockstep: ring allocation/retirement
@@ -129,7 +130,7 @@ def test_shm_transport_equivalent_under_rescale(ops):
         _assert_final_state(subject, ref, live)
 
 
-@settings(max_examples=3, deadline=None)
+@settings(max_examples=churn_examples(3), deadline=None)
 @given(ops=ops_strategy)
 def test_shm_transport_equivalent_under_forced_fallback(ops):
     """Starved rings (tiny capacity, zero stall budget) force the

@@ -1,6 +1,6 @@
-"""Codegen tier unit tests: dispatch, scoped invalidation (including
-mid-batch races), live register visibility, miss routing from the flow
-cache, counter coalescing, and stats plumbing."""
+"""Codegen unit tests: dispatch, scoped invalidation (including
+mid-batch races), live register visibility, register-steered branching,
+counter coalescing, and stats plumbing."""
 
 from repro.controlplane import Controller
 from repro.dataplane.runpro import P4runproDataPlane
@@ -16,11 +16,10 @@ from repro.rmt.packet import (
 from repro.rmt.pipeline import Switch, Verdict
 
 
-def deployed(source, *, flow_cache=False, codegen=True):
-    """A dataplane with the flow cache OFF by default, so every packet
-    exercises the codegen tier (or, with ``codegen=False``, the
-    interpreter)."""
-    dataplane = P4runproDataPlane(flow_cache=flow_cache, codegen=codegen)
+def deployed(source, *, codegen=True):
+    """A dataplane whose packets run generated code (or, with
+    ``codegen=False``, the interpreter)."""
+    dataplane = P4runproDataPlane(codegen=codegen)
     ctl = Controller(dataplane)
     ctl.deploy(source)
     return ctl, dataplane
@@ -187,24 +186,20 @@ class TestInvalidation:
         assert dataplane.codegen.stats()["compiled"] == compiled
 
 
-class TestMissRouting:
-    def test_negative_megaflow_entries_route_to_codegen(self):
-        """Register-branching programs (hh thresholds on a live CMS
-        count) are uncacheable for the megaflow tier; with codegen on,
-        those misses run generated code instead of the interpreter."""
+class TestRegisterBranching:
+    def test_register_steered_program_runs_generated_code(self):
+        """hh thresholds on a live CMS count: every packet runs generated
+        code that re-evaluates the BRANCH against the live registers."""
         from repro.rmt.packet import make_tcp
 
-        _, dataplane = deployed(PROGRAMS["hh"].source, flow_cache=True)
+        _, dataplane = deployed(PROGRAMS["hh"].source)
         packets = [
             make_tcp(0x0A000001, 0x0B000001, 999, 80) for _ in range(8)
         ]
         a = [result_tuple(r) for r in dataplane.process_many(packets)]
-        assert dataplane.flow_cache.stats()["uncacheable"] > 0
-        assert dataplane.codegen.stats()["hits"] > 0
+        assert dataplane.codegen.stats()["hits"] == 8
 
-        _, reference = deployed(
-            PROGRAMS["hh"].source, flow_cache=False, codegen=False
-        )
+        _, reference = deployed(PROGRAMS["hh"].source, codegen=False)
         b = [result_tuple(r) for r in reference.process_many(packets)]
         assert a == b
 
@@ -262,15 +257,11 @@ class TestStatsPlumbing:
         }
 
     def test_tracing_falls_back_with_taxonomy_entry(self):
-        """Tracing needs real execution: the dispatcher refuses and logs
-        the reason, mirroring the flow cache's bypass."""
+        """Tracing needs the interpreter's walk: the dispatcher refuses
+        and logs the reason."""
         _, dataplane = deployed(PROGRAMS["l2fwd"].source)
         dataplane.process(make_l2(dst=0x1))
         with capture_trace() as trace:
             dataplane.process(make_l2(dst=0x1))
         assert len(trace.steps) > 0
-        # capture_trace engages the flow-cache recorder bypass, which the
-        # dispatcher checks first — either label proves the refusal.
-        fallbacks = dataplane.codegen.stats()["fallbacks"]
-        assert sum(fallbacks.values()) == 1
-        assert set(fallbacks) <= {"recording", "tracing"}
+        assert dataplane.codegen.stats()["fallbacks"] == {"tracing": 1}

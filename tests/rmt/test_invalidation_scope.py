@@ -3,8 +3,8 @@ repro.rmt.dependency).
 
 A control op on program *p* may stale only what *p*'s entries or *p*'s
 memory could change.  Each test pins one rule at the level it is argued
-— compiled pools, flow-cache traces, generated functions — and checks
-the served verdicts against a data plane with both fast paths off.
+— compiled pools or generated functions — and checks the served
+verdicts against a data plane that walks the reference interpreter.
 """
 
 from repro.controlplane import Controller
@@ -12,15 +12,23 @@ from repro.dataplane import constants as dp
 from repro.dataplane.runpro import P4runproDataPlane
 from repro.programs import PROGRAMS
 from repro.rmt.dependency import Dependent
-from repro.rmt.packet import NC_READ, make_cache, make_l2, make_tcp
+from repro.rmt.packet import make_l2, make_tcp
 from repro.rmt.phv import PHV, PHVLayout
 from repro.rmt.table import MatchActionTable, TableEntry, TernaryKey
 
 CASE = [("har", 1, 0xFF), ("sar", 0, 0xFFFFFFFF), ("mar", 7, 0xFFFF)]
 
+#: replicates every Ethernet packet to multicast group 3
+MCAST_SOURCE = """
+program mcast(
+    <hdr.eth.etype, 0, 0x0>) {
+    MULTICAST(3);
+}
+"""
 
-def deployed(*names, flow_cache=True, codegen=True):
-    dataplane = P4runproDataPlane(flow_cache=flow_cache, codegen=codegen)
+
+def deployed(*names, codegen=True):
+    dataplane = P4runproDataPlane(codegen=codegen)
     ctl = Controller(dataplane)
     handles = {name: ctl.deploy(PROGRAMS[name].source) for name in names}
     return ctl, dataplane, handles
@@ -65,22 +73,8 @@ class TestBucketScope:
         phv.set("ud.pid", 1)
         assert table.lookup(phv)[0] == "b1"
 
-    def test_add_case_keeps_other_programs_traces(self):
-        ctl, dataplane, h = deployed("cache", "l2fwd")
-        for _ in range(2):
-            dataplane.process(make_l2(dst=0x1))
-            dataplane.process(make_cache(1, 2, op=NC_READ, key=0x8888))
-        before = dataplane.flow_cache.stats()
-        ctl.add_case(h["cache"].program_id, CASE, template_case=0, loadi_values=[9])
-        assert dataplane.process(make_l2(dst=0x1)).egress_port == 1
-        after = dataplane.flow_cache.stats()
-        assert after["emc_hits"] == before["emc_hits"] + 1
-        assert after["misses"] == before["misses"]
-        dataplane.process(make_cache(1, 2, op=NC_READ, key=0x8888))
-        assert dataplane.flow_cache.stats()["misses"] == before["misses"] + 1
-
     def test_add_case_keeps_other_programs_functions(self):
-        ctl, dataplane, h = deployed("cache", "l2fwd", flow_cache=False)
+        ctl, dataplane, h = deployed("cache", "l2fwd")
         dataplane.process(make_l2(dst=0x1))
         compiled = dataplane.codegen.stats()["compiled"]
         ctl.add_case(h["cache"].program_id, CASE, template_case=0, loadi_values=[9])
@@ -91,38 +85,41 @@ class TestBucketScope:
 
 
 class TestInitShadow:
-    """Init table: a dependent stales only if its matched entry is
-    deleted or an insert orders ahead of it."""
+    """Init table: a generated function stales only if an entry its chain
+    tested is deleted or an insert orders ahead of one."""
 
     def test_lower_priority_number_insert_steals_cached_flow(self):
-        _, cached, _ = deployed("l2fwd")
-        _, reference, _ = deployed("l2fwd", flow_cache=False, codegen=False)
+        _, fast, _ = deployed("l2fwd")
+        _, reference, _ = deployed("l2fwd", codegen=False)
         for _ in range(2):
-            assert cached.process(make_l2(dst=0x1)).egress_port == 1
-        for dataplane in (cached, reference):
+            assert fast.process(make_l2(dst=0x1)).egress_port == 1
+        compiled = fast.codegen.stats()["compiled"]
+        for dataplane in (fast, reference):
             steal(dataplane, TernaryKey("hdr.eth.dst", 0x1, 0xFFFF), priority=-1)
-        got = cached.process(make_l2(dst=0x1))
+        got = fast.process(make_l2(dst=0x1))
         assert outcome(got) == outcome(reference.process(make_l2(dst=0x1)))
         assert got.egress_port == 0  # now owned by no program
-        assert cached.flow_cache.stats()["invalidations"] >= 1
+        stats = fast.codegen.stats()
+        assert stats["invalidations"] >= 1
+        assert stats["compiled"] == compiled + 1
 
     def test_priority_zero_append_keeps_cached_flow(self):
         _, dataplane, _ = deployed("l2fwd")
         for _ in range(2):
             dataplane.process(make_l2(dst=0x1))
-        hits = dataplane.flow_cache.stats()["emc_hits"]
+        compiled = dataplane.codegen.stats()["compiled"]
         steal(dataplane, TernaryKey("hdr.eth.dst", 0x1, 0xFFFF), priority=0)
         assert dataplane.process(make_l2(dst=0x1)).egress_port == 1
-        stats = dataplane.flow_cache.stats()
-        assert stats["emc_hits"] == hits + 1
+        stats = dataplane.codegen.stats()
+        assert stats["compiled"] == compiled
         assert stats["invalidations"] == 0
 
     def test_function_chain_ends_at_its_terminal_entry(self):
         """l2fwd's filter matches every Ethernet packet, so a filter
         appended behind it cannot change the function; one ordered
         ahead of it must."""
-        _, dataplane, _ = deployed("l2fwd", flow_cache=False)
-        _, reference, _ = deployed("l2fwd", flow_cache=False, codegen=False)
+        _, dataplane, _ = deployed("l2fwd")
+        _, reference, _ = deployed("l2fwd", codegen=False)
         dataplane.process(make_tcp(0x0A000001, 2, 1000, 80))
         compiled = dataplane.codegen.stats()["compiled"]
         key = TernaryKey("hdr.ipv4.src", 0x0A000001, 0xFFFFFFFF)
@@ -136,36 +133,40 @@ class TestInitShadow:
         assert dataplane.codegen.stats()["compiled"] == compiled + 1
 
     def test_deleting_the_matched_entry_stales(self):
-        ctl, dataplane, h = deployed("l2fwd")
-        dataplane.process(make_l2(dst=0x1))
-        ctl.revoke(h["l2fwd"].program_id)
-        assert dataplane.process(make_l2(dst=0x1)).egress_port == 0
-        assert dataplane.flow_cache.stats()["invalidations"] >= 1
+        results = []
+        for codegen in (True, False):
+            ctl, dataplane, h = deployed("l2fwd", codegen=codegen)
+            before = outcome(dataplane.process(make_l2(dst=0x1)))
+            ctl.revoke(h["l2fwd"].program_id)
+            results.append((before, outcome(dataplane.process(make_l2(dst=0x1)))))
+            if codegen:
+                assert dataplane.codegen.stats()["invalidations"] >= 1
+        assert results[0] == results[1]
+        assert results[0][1][1] == 0  # default port: program gone
 
     def test_deleting_a_losing_entry_keeps_the_flow(self):
-        """cache's filter orders ahead of l2fwd's, but an L2 packet fails
-        it: revoking cache cannot change which entry the flow matches."""
+        """cache's filter orders ahead of l2fwd's, but an L2 packet can
+        never match it: revoking cache cannot change which entry the
+        flow matches."""
         ctl, dataplane, h = deployed("cache", "l2fwd")
         for _ in range(2):
             dataplane.process(make_l2(dst=0x2))
-        hits = dataplane.flow_cache.stats()["emc_hits"]
+        compiled = dataplane.codegen.stats()["compiled"]
         ctl.revoke(h["cache"].program_id)
         assert dataplane.process(make_l2(dst=0x2)).egress_port == 2
-        stats = dataplane.flow_cache.stats()
-        assert stats["emc_hits"] == hits + 1
+        stats = dataplane.codegen.stats()
+        assert stats["compiled"] == compiled
         assert stats["invalidations"] == 0
 
 
 class TestRegisters:
     def test_write_mem_under_a_register_steered_branch_matches_oracle(self):
-        """hh BRANCHes on har after MIN with a MEMADD output: the trace
-        dies at that consult and its negative entry routes the flow to
-        generated code, which reads the registers live.  Writing the
-        count rows past the threshold must flip the verdict at once,
-        with no invalidation."""
+        """hh BRANCHes on har after MIN with a MEMADD output; generated
+        code reads the registers live.  Writing the count rows past the
+        threshold must flip the verdict at once, with no invalidation."""
         results = []
         for fast in (True, False):
-            ctl, dataplane, h = deployed("hh", flow_cache=fast, codegen=fast)
+            ctl, dataplane, h = deployed("hh", codegen=fast)
             pkt = lambda: make_tcp(0x0A000001, 0x0B000001, 999, 80)
             out = [outcome(dataplane.process(pkt())) for _ in range(3)]
             for mid in ("mem_cms_row1", "mem_cms_row2"):
@@ -174,25 +175,38 @@ class TestRegisters:
             out += [outcome(dataplane.process(pkt())) for _ in range(3)]
             results.append(out)
             if fast:
-                stats = dataplane.flow_cache.stats()
-                assert stats["uncacheable"] >= 4
+                stats = dataplane.codegen.stats()
+                assert stats["hits"] == 6
                 assert stats["invalidations"] == 0
         assert results[0] == results[1]
         assert results[0][3][0].value == "to_cpu"  # reported past the threshold
 
 
 class TestMulticast:
-    def test_reconfiguration_still_flushes(self):
-        """Pure templates bake in the replicated port list: the one
-        global flush left."""
-        _, dataplane, _ = deployed("l2fwd")
-        for _ in range(2):
-            dataplane.process(make_l2(dst=0x1))
-        assert dataplane.flow_cache.stats()["occupancy"]["emc"] == 1
-        dataplane.configure_multicast_group(3, [4, 5])
-        stats = dataplane.flow_cache.stats()
-        assert stats["occupancy"] == {"emc": 0, "megaflow": 0, "subtables": 0}
-        assert stats["invalidations"] >= 1
+    def test_reconfigured_group_is_read_live(self):
+        """Generated code reads the TM's group table live: a group
+        reconfigured between batches changes the replication ports at
+        once, with no recompilation."""
+        results = []
+        for codegen in (True, False):
+            dataplane = P4runproDataPlane(codegen=codegen)
+            ctl = Controller(dataplane)
+            ctl.configure_multicast_group(3, [4, 5])
+            ctl.deploy(MCAST_SOURCE)
+            out = [outcome(r) for r in dataplane.process_many(
+                [make_l2(dst=d) for d in (1, 2, 1)])]
+            compiled = dataplane.codegen.stats()["compiled"]
+            ctl.configure_multicast_group(3, [6, 7, 8])
+            out += [outcome(r) for r in dataplane.process_many(
+                [make_l2(dst=d) for d in (1, 2, 1)])]
+            results.append(out)
+            if codegen:
+                stats = dataplane.codegen.stats()
+                assert stats["hits"] == 6
+                assert stats["compiled"] == compiled
+        assert results[0] == results[1]
+        assert results[0][0][3] == (4, 5)
+        assert results[0][3][3] == (6, 7, 8)
 
 
 class TestDependent:
