@@ -34,13 +34,18 @@
   traffic or state read, so a deploy followed immediately by an inject
   can never observe a shard without the program.
 
-Packet routing parses each packet on the coordinator replica and runs the
-*real* init-table lookup, so ownership decisions (first-match filter
-semantics, conditional parse paths) are bit-identical to what every
-worker's own init block will decide.  Packets of a pinned program go to
-its owning shard; everything else is spread by an RSS-style CRC32 of the
-5-tuple through the ring, which keeps every flow on one shard (per-flow
-order preserved).
+Packet routing classifies each packet with the coordinator replica's
+generated route function (:meth:`repro.rmt.codegen.CodegenCache.route`):
+the parse and first-match init-table chain every worker's init block
+runs, compiled per header composition, returning the owning program id
+and the 5-tuple.  Whatever the generator refuses (codegen off, a
+header with an unexpected field set, an unfrozen parser) walks the
+reference interpreter instead: a real PHV, parse and table lookup.
+Either way ownership decisions (first-match filter semantics,
+conditional parse paths) are bit-identical to what the workers will
+decide.  Packets of a pinned program go to its owning shard; everything
+else is spread by an RSS-style CRC32 of the 5-tuple through the ring,
+which keeps every flow on one shard (per-flow order preserved).
 
 **Live migration** moves a pinned program between shards without
 dropping or reordering a packet: :meth:`ShardedEngine.begin_migration`
@@ -252,10 +257,12 @@ class FanoutBinding:
     def read_entry_counter(self, table: str, handle: int) -> int:
         """Aggregate an entry's hit counter across all shards.
 
-        The coordinator replica processes no packets (its own counters
-        only reflect routing lookups), so the true count is the sum over
-        live workers of their local entry's counter, plus the harvested
-        base from any worker that has since been removed.
+        The coordinator replica processes no packets, and nothing reads
+        its counters: its route functions bump none, and only the packets
+        they leave to the interpreter touch its init table's.  The true
+        count is the sum over live workers of their local entry's
+        counter, plus the harvested base from any worker that has since
+        been removed.
         """
         return self.engine._aggregate_counter(table, handle)
 
@@ -511,6 +518,8 @@ class ShardedEngine:
         self.binding = FanoutBinding(self.dataplane, self)
         self.controller = Controller(self.binding, spec=self.spec)
         self._init_table = self.dataplane.tables[dp.INIT_TABLE]
+        self._switch = self.dataplane.switch
+        self._codegen = self.dataplane.codegen
 
         #: program id -> owning shard (pinned) or None (data-parallel)
         self.placement: dict[int, int | None] = {}
@@ -796,24 +805,41 @@ class ShardedEngine:
 
         ``program_id`` is set only for pinned-program traffic; a ``None``
         shard means the owning program is mid-migration and the packet
-        must park in its holding queue.
+        must park in its holding queue.  The coordinator replica's
+        generated route function classifies the packet; whatever it
+        refuses goes through :meth:`_interpret_route`.
         """
-        switch = self.dataplane.switch
-        phv = PHV(switch.layout, packet)
-        switch.parse_machine.parse(packet, phv)
-        hit = self._init_table.lookup(phv)
-        if hit is not None and hit[0] == dp.ACTION_SET_PROGRAM:
-            program_id = hit[1].get("program_id")
-            if program_id is not None and program_id in self._migrations:
+        routed = self._codegen.route(self._switch, packet)
+        if routed is None:
+            program_id, five_tuple = self._interpret_route(packet), None
+        else:
+            program_id, five_tuple = routed
+        if program_id is not None:
+            if program_id in self._migrations:
                 return None, program_id
             pinned = self.placement.get(program_id)
             if pinned is not None:
                 return pinned, program_id
-        return self.ring.lookup(flow_hash(packet.five_tuple())), None
+        if five_tuple is None:
+            five_tuple = packet.five_tuple()
+        return self.ring.lookup(flow_hash(five_tuple)), None
+
+    def _interpret_route(self, packet) -> int | None:
+        """The reference classification: real parse, real first-match
+        init-table lookup on the coordinator replica."""
+        switch = self._switch
+        phv = PHV(switch.layout, packet)
+        switch.parse_machine.parse(packet, phv)
+        hit = self._init_table.lookup(phv)
+        if hit is not None and hit[0] == dp.ACTION_SET_PROGRAM:
+            return hit[1].get("program_id")
+        return None
 
     def shard_of(self, packet) -> int:
-        """Which shard a packet belongs to (identical to init-block
-        ownership semantics: real parse, real first-match lookup)."""
+        """Which shard a packet belongs to.  Ownership follows init-block
+        semantics exactly: the generated route function runs the same
+        parse and first-match filter chain as every worker's init block,
+        and the interpreter decides whatever it refuses."""
         shard, program_id = self._route(packet)
         if shard is None:
             # Mid-migration the packet would park; its current owner is
@@ -1651,6 +1677,12 @@ class ShardedEngine:
             "fallbacks": dict(transport["fallbacks"]),
         }
 
+    def routing_stats(self) -> dict:
+        """The coordinator's route functions: compiled, hits, and the
+        packets routed through the interpreter instead, by reason
+        (``disabled`` when codegen is off)."""
+        return self._codegen.route_stats()
+
     def migration_stats(self) -> dict:
         """Migration/rebalance counters plus latency summaries."""
         stats = self._mstats
@@ -1670,7 +1702,10 @@ class ShardedEngine:
         """Aggregated traffic-manager counters plus per-shard detail.
 
         Totals fold in the final stats harvested from removed workers,
-        so downscaling never loses packet accounting.
+        so downscaling never loses packet accounting.  ``totals["codegen"]``
+        counts the workers' generated functions only; the coordinator's
+        route functions report under ``routing`` (compiled, hits, and
+        interpreter fallbacks by reason).
         """
         self.barrier()
         worker_ids = self.worker_ids
@@ -1700,4 +1735,5 @@ class ShardedEngine:
             "shards": shards,
             "migration": self.migration_stats(),
             "transport": self.transport_stats(),
+            "routing": self.routing_stats(),
         }

@@ -34,6 +34,7 @@ choices live in the callers (:mod:`.engine`, :mod:`.worker`).
 
 from __future__ import annotations
 
+import operator
 import struct
 
 try:  # pragma: no cover - present on every supported platform
@@ -235,20 +236,57 @@ _RES_V = struct.Struct("<iqq")
 _PORT_NONE = -(1 << 60)
 
 
+def _getter(fields: tuple):
+    """A header dict's values in ``fields`` order, as a tuple."""
+    if len(fields) > 1:
+        return operator.itemgetter(*fields)
+    return lambda hfields: tuple(hfields[f] for f in fields)
+
+
 class PacketEncoder:
     """Stream encoder interning header compositions.
 
     One instance per (stream, direction); compositions are numbered from
     zero in first-seen order and their definitions travel in-band inside
-    the first chunk that uses them (:meth:`take_defs`).  A chunk's records
-    pack into one contiguous blob — fixed :data:`_PKT_HDR` header plus the
+    the first chunk that uses them (:meth:`take_defs`).  A packet finds
+    its composition by its header-name sequence alone, guarded by one
+    field-set compare per header, and its values pack in the
+    composition's field order; a packet whose field sets differ (an
+    extra or a missing field) takes its exact shape instead, which its
+    header sequence then tries first.  A chunk's records pack into one
+    contiguous blob — fixed :data:`_PKT_HDR` header plus the
     composition's struct-packed u64 field values per packet — so the wire
     layer moves a single ``bytes`` leaf instead of thousands of tuples.
     """
 
     def __init__(self):
-        self._comps: dict[tuple, tuple[int, struct.Struct | None]] = {}
+        #: exact shape (header, field-name tuples) -> (comp_id, struct,
+        #: per-header (field-name set, field-order getter))
+        self._comps: dict[tuple, tuple] = {}
+        #: header-name tuple -> the ``_comps`` value of the last exact
+        #: shape seen with those headers, which any packet whose headers
+        #: carry the same field sets reuses, whatever their dict order
+        self._shapes: dict[tuple, tuple] = {}
         self._pending_defs: list = []
+
+    def _define(self, headers: dict) -> tuple:
+        """The composition of ``headers``' exact shape, defined (and
+        queued for :meth:`take_defs`) on first sight, and made the one
+        its header sequence tries first."""
+        key = tuple((h, tuple(f)) for h, f in headers.items())
+        ent = self._comps.get(key)
+        if ent is None:
+            count = sum(len(fields) for _h, fields in key)
+            ent = self._comps[key] = (
+                len(self._comps),
+                struct.Struct(f"<{count}Q") if count else None,
+                tuple((frozenset(f), _getter(f)) for _h, f in key),
+            )
+            self._pending_defs.append(
+                (ent[0], [(h, list(fields)) for h, fields in key])
+            )
+        self._shapes[tuple(headers)] = ent
+        return ent
 
     def encode_packets(self, packets) -> tuple[bytes, list]:
         """A chunk of packets -> (packed blob, structural fallbacks).
@@ -258,7 +296,7 @@ class PacketEncoder:
         marker in the blob and append ``(headers, size, ts, port,
         queue_depth)`` to the fallback list, consumed in blob order.
         """
-        comps = self._comps
+        shapes = self._shapes
         hdr_pack = _PKT_HDR.pack
         parts: list[bytes] = []
         fallbacks: list = []
@@ -268,20 +306,18 @@ class PacketEncoder:
             try:
                 if type(ts) is not float:
                     raise TypeError("ts must stay float across the blob")
-                key = tuple((h, tuple(f)) for h, f in headers.items())
-                ent = comps.get(key)
-                if ent is None:
-                    comp_id = len(comps)
-                    count = sum(len(fields) for _h, fields in key)
-                    st = struct.Struct(f"<{count}Q") if count else None
-                    ent = comps[key] = (comp_id, st)
-                    self._pending_defs.append(
-                        (comp_id, [(h, list(fields)) for h, fields in key])
-                    )
-                comp_id, st = ent
+                ent = shapes.get(tuple(headers))
                 values = []
-                for hfields in headers.values():
-                    values.extend(hfields.values())
+                if ent is not None:
+                    for hfields, (names, getter) in zip(headers.values(), ent[2]):
+                        if hfields.keys() != names:
+                            ent = None
+                            break
+                        values += getter(hfields)
+                if ent is None:
+                    ent = self._define(headers)
+                    values = [v for hfields in headers.values() for v in hfields.values()]
+                comp_id, st, _plan = ent
                 # Pack values first — a failure here must not leave a
                 # stray record header in the blob.
                 packed = st.pack(*values) if st else b""

@@ -52,10 +52,24 @@ pipelines' compiled unit programs by identity, so a mid-batch
 function.  Register-array *contents* need no invalidation — the
 generated code reads and writes the live arrays.
 
-Fallback taxonomy (reasons reported via :meth:`CodegenCache.stats`):
+**Route functions.**  The sharded engine's coordinator needs only the
+init block's verdict — which program owns a packet — to pick a shard.
+:meth:`CodegenCache.route` serves it from a second kind of generated
+function per composition, ``_route``: the same guards, ``_parse`` and
+init chain as ``_run``, whose branches return ``(program_id,
+five_tuple)`` instead of entering a body, and which bump no counter.
+It depends on the init chain's versions alone, so only an init-table
+mutation the chain could see recompiles it.  It refuses what ``_run``
+refuses up to its init chain, except ``tracing`` (a route is no
+traversal a trace observes), plus ``disabled`` (codegen off); the caller
+then asks the interpreter.
+
+Fallback taxonomy (reasons reported via :meth:`CodegenCache.stats`, and
+for route functions via :meth:`CodegenCache.route_stats`):
 
 ====================  ====================================================
 ``tracing``           execution tracing is observing the real traversal
+``disabled``          (routes only) codegen is switched off
 ``parser-unfrozen``   the switch is still being provisioned
 ``guard``             per-packet header field-set mismatch (slow-path PHV)
 ``init-shape``        no/misplaced initialization block
@@ -129,7 +143,13 @@ class _Entry(Dependent):
 
 
 class CodegenCache:
-    """Per-switch cache of generated per-composition functions."""
+    """Per-switch cache of generated per-composition functions.
+
+    Two kinds share it: ``_run`` functions serve packets (:meth:`run`),
+    and ``_route`` functions classify them into their program for the
+    sharded engine's coordinator (:meth:`route`).  Each kind has its own
+    entries and counters, so a coordinator's routing never shows up in
+    the :meth:`stats` of the packets it serves."""
 
     def __init__(self, enabled: bool = True, capacity: int = 512):
         self.enabled = enabled
@@ -141,23 +161,33 @@ class CodegenCache:
         self.hits = 0
         self.invalidations = 0
         self.fallbacks: dict[str, int] = {}
+        #: entries whose coalesced counter cells ran since the last flush
+        self._ran: set[_Entry] = set()
+        #: the route functions, keyed and counted like ``cache``
+        self.routes: dict[tuple, _Entry] = {}
+        self.route_compiled = 0
+        self.route_hits = 0
+        self.route_invalidations = 0
+        self.route_fallbacks: dict[str, int] = {}
 
     def flush(self) -> None:
         self._flush_counters()
         self.cache.clear()
+        self.routes.clear()
 
     # -- coalesced counters ------------------------------------------------
     # Straight-line bodies that provably cannot raise defer their
     # constant per-call counter bumps (table lookups, unconditional
     # hits, TM verdicts) into a per-body call cell, applied in bulk at
-    # batch end (nothing can observe counters mid-batch).
+    # batch end (nothing can observe counters mid-batch).  Only entries
+    # that ran since the last flush can hold a non-zero cell.
     def end_batch(self) -> None:
         self._flush_counters()
 
     def _flush_counters(self) -> None:
-        for ent in self.cache.values():
-            if ent.coalesce:
-                self._flush_entry(ent)
+        for ent in self._ran:
+            self._flush_entry(ent)
+        self._ran.clear()
 
     @staticmethod
     def _flush_entry(ent: _Entry) -> None:
@@ -170,20 +200,38 @@ class CodegenCache:
 
     # -- introspection -----------------------------------------------------
     def stats(self) -> dict:
+        return self._stats(
+            self.cache, self.compiled, self.hits, self.invalidations, self.fallbacks
+        )
+
+    def route_stats(self) -> dict:
+        """The route functions' counters; fallbacks are the packets
+        :meth:`route` left to the interpreter, by reason."""
+        return self._stats(
+            self.routes,
+            self.route_compiled,
+            self.route_hits,
+            self.route_invalidations,
+            self.route_fallbacks,
+        )
+
+    def _stats(self, entries, compiled, hits, invalidations, fallbacks) -> dict:
         return {
             "enabled": self.enabled,
-            "functions": sum(
-                1 for ent in self.cache.values() if ent.fn is not None
-            ),
-            "compiled": self.compiled,
-            "hits": self.hits,
-            "invalidations": self.invalidations,
-            "fallbacks": dict(self.fallbacks),
+            "functions": sum(1 for ent in entries.values() if ent.fn is not None),
+            "compiled": compiled,
+            "hits": hits,
+            "invalidations": invalidations,
+            "fallbacks": dict(fallbacks),
         }
 
     # -- dispatch ----------------------------------------------------------
     def _fallback(self, reason: str) -> None:
         self.fallbacks[reason] = self.fallbacks.get(reason, 0) + 1
+        return None
+
+    def _route_fallback(self, reason: str) -> None:
+        self.route_fallbacks[reason] = self.route_fallbacks.get(reason, 0) + 1
         return None
 
     def run(self, switch, packet):
@@ -212,38 +260,83 @@ class CodegenCache:
         if result is None:
             return self._fallback("guard")
         self.hits += 1
-        if ent.coalesce and not switch._pooling:
-            # outside a batch the caller can observe counters right away
-            self._flush_entry(ent)
+        if ent.coalesce:
+            if switch._pooling:
+                self._ran.add(ent)
+            else:
+                # outside a batch the caller can observe counters right away
+                self._flush_entry(ent)
+        return result
+
+    def route(self, switch, packet):
+        """The init block's classification of one packet, without running
+        it: ``(program_id, five_tuple)``, where ``program_id`` is what the
+        winning filter entry (or the table default) sets, ``None`` if
+        nothing sets one, and ``five_tuple`` is ``packet.five_tuple()``.
+        Returns ``None`` to defer to the interpreter: codegen off, an
+        unfrozen parser, a refused composition, or a packet the guards
+        reject.  Route functions bump no counter: the switch's tables
+        read as if the packet never arrived."""
+        if not self.enabled:
+            return self._route_fallback("disabled")
+        if not switch.parse_machine.frozen:
+            return self._route_fallback("parser-unfrozen")
+        key = tuple(packet.headers)
+        ent = self.routes.get(key)
+        epoch = EPOCH.n
+        if (
+            ent is None
+            or ent.cl is not switch.layout.compiled()
+            or ent.ing is not switch.ingress._compiled
+            or (ent.epoch != epoch and not ent.revalidate(epoch))
+        ):
+            ent = self._compile(switch, key, ent, route=True)
+        if ent.fn is None:
+            return self._route_fallback(ent.reason)
+        result = ent.fn(packet)
+        if result is None:
+            return self._route_fallback("guard")
+        self.route_hits += 1
         return result
 
     # -- compilation -------------------------------------------------------
-    def _compile(self, switch, key: tuple, stale: _Entry | None) -> _Entry:
+    def _compile(
+        self, switch, key: tuple, stale: _Entry | None, route: bool = False
+    ) -> _Entry:
+        entries = self.routes if route else self.cache
         if stale is not None:
-            self.invalidations += 1
+            if route:
+                self.route_invalidations += 1
+            else:
+                self.invalidations += 1
             if stale.coalesce:
                 # pending deltas reference the old tables: settle them
                 # before the entry is dropped from the dict
                 self._flush_entry(stale)
-        if len(self.cache) >= self.capacity:
-            self._flush_counters()
-            self.cache.clear()
+        if len(entries) >= self.capacity:
+            # entries that ran this batch stay in _ran until end_batch
+            entries.clear()
         ent = _Entry()
         ent.epoch = EPOCH.n
         ent.cl = switch.layout.compiled()
         ent.ing = switch.ingress.compiled_units()
-        ent.eg = switch.egress.compiled_units()
+        # a route reads the init block only: egress changes cannot stale it
+        ent.eg = None if route else switch.egress.compiled_units()
         ent.coalesce = ()
         emitter = _Emitter(self, switch, key, ent.cl)
         try:
-            source, namespace = emitter.emit()
-            code = compile(source, f"<codegen:{'/'.join(key) or 'bare'}>", "exec")
+            source, namespace = emitter.emit_route() if route else emitter.emit()
+            kind = "codegen-route" if route else "codegen"
+            code = compile(source, f"<{kind}:{'/'.join(key) or 'bare'}>", "exec")
             exec(code, namespace)
-            ent.fn = namespace["_run"]
+            ent.fn = namespace["_route" if route else "_run"]
             ent.reason = None
             ent.source = source
             ent.coalesce = tuple(emitter.coalesce)
-            self.compiled += 1
+            if route:
+                self.route_compiled += 1
+            else:
+                self.compiled += 1
         except _Unsupported as exc:
             # versions read before the refusal cover what refused: the
             # offending entry's pool (or filter entry) was recorded first
@@ -251,7 +344,7 @@ class CodegenCache:
             ent.reason = exc.reason
             ent.source = None
         ent.versions = tuple(emitter.versions.items())
-        self.cache[key] = ent
+        entries[key] = ent
         return ent
 
 
@@ -1119,13 +1212,13 @@ class _Emitter:
             f"{ind}return _R(_v, _p, packet, {recircs_expr}, _ports, {bridge})"
         )
 
-    # -- _run --------------------------------------------------------------
-    def _emit_run(self) -> None:
+    # -- entry functions ---------------------------------------------------
+    def _entry_head(self, signature: str) -> list[str]:
+        """The opening of an entry function (``_run`` or ``_route``): the
+        field-set guards, then the PHV seed and the parse, which leave
+        ``hs``, ``s`` and ``vh`` bound."""
         cl = self.cl
-        self._stage_of = {
-            id(unit): stage for unit, stage in self.ing_pairs + self.eg_pairs
-        }
-        lines = ["def _run(switch, packet):", "    hs = packet.headers"]
+        lines = [f"def {signature}:", "    hs = packet.headers"]
         # field-set guards: any mismatch means the interpreter would take
         # the PHV slow path (partial slots + _extra), which the generated
         # code does not model — bail before ANY side effect
@@ -1136,33 +1229,92 @@ class _Emitter:
             kvar = self.bind(frozenset(f for f, _i in slots), "k")
             lines.append(f"    if hs[{header!r}].keys() != {kvar}:")
             lines.append("        return None")
-        # packets_in / pipeline_passes / init-table lookups are bumped (or
-        # coalesced) inside the body — every dispatch path enters exactly
-        # one body, and nothing between here and there can raise
         lines.append("    s = _T.copy()")
         lines.append(f"    s[{cl.slot_ingress}] = packet.ingress_port")
         lines.append(f"    s[{cl.slot_qdepth}] = packet.queue_depth")
         lines.append(f"    s[{cl.slot_pktlen}] = packet.size")
         lines.append(f"    s[{cl.slot_ts}] = int(packet.ts * 1000000) & 4294967295")
         lines.append("    vh = _parse(s, hs)")
+        return lines
 
-        working = dict(self.known0)
+    def _emit_run(self) -> None:
+        self._stage_of = {
+            id(unit): stage for unit, stage in self.ing_pairs + self.eg_pairs
+        }
+        # packets_in / pipeline_passes / init-table lookups are bumped (or
+        # coalesced) inside the body — every dispatch path enters exactly
+        # one body, and nothing between here and there can raise
+        lines = self._entry_head("_run(switch, packet)")
+        tvar = self.bind(self.init_table, "t")
 
-        table = self.init_table
-        tvar = self.bind(table, "t")
-        if self.s_pid is None or self.s_bid is None:
-            raise _Unsupported("init-shape")
-        pid_mask = cl.masks[self.s_pid]
-
-        def dispatch(pid_raw: int) -> list[str]:
-            pid = pid_raw & pid_mask
-            body = self._body_for(pid)
+        def dispatch(entry, data) -> list[str]:
+            if data is None:
+                return [f"return {self._body_for(0)}(switch, packet, hs, s, vh)"]
             stmts = []
+            if entry is not None:
+                stmts += [f"{tvar}.hits += 1", f"{self.bind(entry, 'e')}.hits += 1"]
+            pid = data["program_id"] & self.cl.masks[self.s_pid]
+            body = self._body_for(pid)
             if pid != 0:
                 stmts.append(f"s[{self.s_pid}] = {pid}")
             stmts.append(f"s[{self.s_bid}] = 0")
             stmts.append(f"return {body}(switch, packet, hs, s, vh)")
             return stmts
+
+        self._emit_init_chain(lines, dispatch)
+        self.chunks.append("\n".join(lines))
+
+    def emit_route(self) -> tuple[str, dict]:
+        """The module source of ``_route(packet)``: ``_run``'s guards,
+        parse and init chain, whose branches return ``(program_id,
+        five_tuple)`` instead of entering a body, bumping nothing."""
+        units = self.switch.ingress.compiled_units()
+        if not units or not isinstance(units[0][0].__self__, self.InitBlock):
+            raise _Unsupported("init-shape")
+        self.init_table = units[0][0].__self__.table
+        self._emit_parse()
+        lines = self._entry_head("_route(packet)")
+        lines.append(f"    _ft = {self._five_tuple()}")
+
+        def dispatch(entry, data) -> list[str]:
+            pid = None if data is None else data.get("program_id")
+            return [f"return ({pid!r}, _ft)"]
+
+        self._emit_init_chain(lines, dispatch)
+        self.chunks.append("\n".join(lines))
+        return "\n".join(self.chunks) + "\n", self.ns
+
+    def _five_tuple(self) -> str:
+        """``Packet.five_tuple()`` as one expression over the header dicts,
+        its presence branches resolved for this composition.  The guards
+        ahead of it pin each header's field set to its layout, so every
+        field read here exists."""
+        def read(header: str, fname: str) -> str:
+            slots = self.cl.header_slots.get(header, ())
+            if all(f != fname for f, _i in slots):
+                raise _Unsupported(f"field:hdr.{header}.{fname}")
+            return f"hs[{header!r}][{fname!r}]"
+
+        parts = ["0"] * 5
+        if "ipv4" in self.key:
+            parts[0:3] = [read("ipv4", f) for f in ("src", "dst", "proto")]
+        ports = next((h for h in ("tcp", "udp") if h in self.key), None)
+        if ports is not None:
+            parts[3:5] = [read(ports, f) for f in ("src_port", "dst_port")]
+        return "(" + ", ".join(parts) + ")"
+
+    def _emit_init_chain(self, lines: list[str], dispatch) -> None:
+        """The init block's filter chain, for ``_run`` and ``_route``.
+
+        ``dispatch(entry, data)`` gives the statements that end one
+        branch: ``entry`` is the winning filter entry (``None`` for the
+        table default) and ``data`` the ``set_program`` action data that
+        applies (``None`` when no entry matches and there is no default).
+        """
+        table = self.init_table
+        if self.s_pid is None or self.s_bid is None:
+            raise _Unsupported("init-shape")
+        working = dict(self.known0)
 
         # The chain depends on the shadow of every entry it tests (a
         # delete, or an insert ordering ahead of it, changes the chain)
@@ -1197,9 +1349,7 @@ class _Emitter:
             self.versions.update(table.versions_read("*", None))
         terminal = bool(branches) and not branches[-1][0]
         for i, (conds, entry) in enumerate(branches):
-            evar = self.bind(entry, "e")
-            stmts = [f"{tvar}.hits += 1", f"{evar}.hits += 1"]
-            stmts += dispatch(entry.action_data["program_id"])
+            stmts = dispatch(entry, entry.action_data)
             if not conds:
                 if i == 0:
                     for stmt in stmts:
@@ -1219,10 +1369,9 @@ class _Emitter:
             default = table.default_action
             if default is not None and default != self.dp.ACTION_SET_PROGRAM:
                 raise _Unsupported("init-action")
-            if default is not None:
-                stmts = dispatch(table.default_action_data["program_id"])
-            else:
-                stmts = [f"return {self._body_for(0)}(switch, packet, hs, s, vh)"]
+            stmts = dispatch(
+                None, None if default is None else table.default_action_data
+            )
             if branches:
                 lines.append("    else:")
                 for stmt in stmts:
@@ -1230,4 +1379,3 @@ class _Emitter:
             else:
                 for stmt in stmts:
                     lines.append("    " + stmt)
-        self.chunks.append("\n".join(lines))

@@ -1229,6 +1229,7 @@ class ControlService:
                     "totals": engine_stats["totals"],
                     "migration": engine_stats["migration"],
                     "transport": engine_stats["transport"],
+                    "routing": engine_stats["routing"],
                 }
             if self.dataplane is not None:
                 return {"dataplane": self.dataplane.stats()}
@@ -1328,6 +1329,7 @@ class ControlService:
                 "worker_ids": self.engine.worker_ids,
                 "migration": self.engine.migration_stats(),
                 "transport": self.engine.transport_stats(),
+                "routing": self.engine.routing_stats(),
             }
         return snapshot
 

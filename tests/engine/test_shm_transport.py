@@ -159,6 +159,43 @@ class TestPacketCodec:
         enc.encode_packets([make_udp(5, 6, 7, 8)])
         assert enc.take_defs() == []  # same shape: no new definition
 
+    def test_field_order_shares_the_composition(self):
+        """Fields in another dict order reuse the header sequence's
+        composition and decode to an equal header dict."""
+        first, shuffled = make_udp(1, 2, 3, 4), make_udp(5, 6, 7, 8)
+        shuffled.headers["ipv4"] = dict(reversed(shuffled.headers["ipv4"].items()))
+        enc = shm_codec.PacketEncoder()
+        enc.encode_packets([first])
+        enc.take_defs()
+        enc.encode_packets([shuffled])
+        assert enc.take_defs() == []
+        back = self.roundtrip([first, shuffled])
+        assert [p.headers for p in back] == [first.headers, shuffled.headers]
+
+    def test_extra_field_takes_its_exact_shape(self):
+        plain, extra = make_udp(1, 2, 3, 4), make_udp(5, 6, 7, 8)
+        extra.headers["udp"]["extra"] = 9
+        enc = shm_codec.PacketEncoder()
+        enc.encode_packets([plain, extra, make_udp(9, 9, 9, 9)])
+        assert len(enc.take_defs()) == 2
+        back = self.roundtrip([plain, extra, plain])
+        assert [p.headers for p in back] == [
+            plain.headers, extra.headers, plain.headers,
+        ]
+        assert back[1].headers["udp"]["extra"] == 9
+
+    def test_extra_field_first_does_not_pin_its_shape(self):
+        """After an odd packet opens a header sequence, the packets that
+        follow in the plain shape are found by header names again."""
+        odd, plain = make_udp(1, 2, 3, 4), make_udp(5, 6, 7, 8)
+        odd.headers["udp"]["extra"] = 9
+        enc = shm_codec.PacketEncoder()
+        enc.encode_packets([odd, plain])
+        plain_id = enc.take_defs()[1][0]
+        assert enc._shapes[tuple(plain.headers)][0] == plain_id
+        back = self.roundtrip([odd, plain, plain])
+        assert [p.headers for p in back] == [odd.headers, plain.headers, plain.headers]
+
     def test_results_roundtrip_full_mode(self):
         packet = make_cache(1, 2, op=1, key=5)
         result = SwitchResult(

@@ -6,6 +6,7 @@ from repro.controlplane import Controller
 from repro.dataplane.runpro import P4runproDataPlane
 from repro.dataplane.tracing import capture_trace
 from repro.programs import PROGRAMS
+from repro.rmt.codegen import CodegenCache
 from repro.rmt.packet import (
     NC_READ,
     NC_WRITE,
@@ -232,6 +233,48 @@ class TestCoalescing:
         for dataplane in (fast, slow):
             dataplane.process_many([p.clone() for p in packets])
         assert self._counters(fast) == self._counters(slow)
+
+    def test_mixed_batches_match_interpreter(self):
+        """Batches that each run a different subset of the functions."""
+        _, fast = deployed(PROGRAMS["l2fwd"].source)
+        _, slow = deployed(PROGRAMS["l2fwd"].source, codegen=False)
+        l2 = [make_l2(dst=i % 3) for i in range(6)]
+        udp = [make_udp(1, 2, 3 + i, 4) for i in range(5)]
+        batches = [l2, udp, l2 + udp, udp[:1], l2[:2]]
+        for dataplane in (fast, slow):
+            for batch in batches:
+                dataplane.process_many([p.clone() for p in batch])
+                dataplane.process(l2[0].clone())
+        assert self._counters(fast) == self._counters(slow)
+
+    def test_capacity_clear_mid_batch_keeps_counters(self):
+        """Functions evicted mid-batch still settle their cells at batch end."""
+        _, fast = deployed(PROGRAMS["l2fwd"].source)
+        _, slow = deployed(PROGRAMS["l2fwd"].source, codegen=False)
+        fast.codegen.capacity = 1
+        mixed = [make_l2(dst=i % 3) if i % 2 else make_udp(1, 2, 3 + i, 4)
+                 for i in range(8)]
+        for dataplane in (fast, slow):
+            dataplane.process_many([p.clone() for p in mixed])
+        assert fast.codegen.stats()["compiled"] == len(mixed)
+        assert self._counters(fast) == self._counters(slow)
+
+    def test_end_batch_flushes_only_entries_that_ran(self, monkeypatch):
+        _, fast = deployed(PROGRAMS["l2fwd"].source)
+        fast.process_many([make_l2(dst=0x1)])
+        fast.process_many([make_udp(1, 2, 3, 4)])
+        cache = fast.codegen.cache
+        assert all(ent.coalesce for ent in cache.values()) and len(cache) == 2
+        flushed = []
+        flush_entry = CodegenCache._flush_entry
+
+        def spy(ent):
+            flushed.append(ent)
+            flush_entry(ent)
+
+        monkeypatch.setattr(CodegenCache, "_flush_entry", staticmethod(spy))
+        fast.process_many([make_udp(5, 6, 7, 8) for _ in range(3)])
+        assert flushed == [cache[("eth", "ipv4", "udp")]]
 
     def test_flush_is_idempotent(self):
         _, fast = deployed(PROGRAMS["l2fwd"].source)
